@@ -33,6 +33,22 @@ impl Tile {
         }
     }
 
+    /// Creates a zero-filled tile in `buffer`'s allocation (its contents are
+    /// discarded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero.
+    pub fn zeros_in(rows: usize, cols: usize, buffer: Vec<f32>) -> Self {
+        let mut tile = Self {
+            rows,
+            cols,
+            data: buffer,
+        };
+        tile.reset_zeroed(rows, cols);
+        tile
+    }
+
     /// Creates a tile from row-major data.
     ///
     /// # Panics
@@ -100,15 +116,36 @@ impl Tile {
         self.data
     }
 
+    /// Reuses this tile's buffer as a zero-filled `rows × cols` tile; no
+    /// allocation when the buffer already has the capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero.
+    pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
+        assert!(rows > 0 && cols > 0, "tile dimensions must be non-zero");
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Returns the transposed tile.
     pub fn transposed(&self) -> Tile {
         let mut out = Tile::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.at_mut(c, r) = self.at(r, c);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose of `self` into `out`, which is reshaped to
+    /// `cols × rows`.
+    pub fn transpose_into(&self, out: &mut Tile) {
+        out.reset_zeroed(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
-        out
     }
 
     /// `self * rhs` dense matrix product.
@@ -117,20 +154,48 @@ impl Tile {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Tile) -> Tile {
-        assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
         let mut out = Tile::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.at(i, k);
+        out.matmul_accumulate(self, rhs);
+        out
+    }
+
+    /// `self += lhs * rhs`, summing over the inner dimension in order (so on
+    /// a zeroed tile it yields exactly [`matmul`](Self::matmul)'s values).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lhs.cols() != rhs.rows()` or `self` is not
+    /// `lhs.rows() × rhs.cols()`.
+    pub fn matmul_accumulate(&mut self, lhs: &Tile, rhs: &Tile) {
+        assert_eq!(lhs.cols, rhs.rows, "matmul dimension mismatch");
+        assert!(
+            self.rows == lhs.rows && self.cols == rhs.cols,
+            "matmul output shape mismatch"
+        );
+        let n = rhs.cols;
+        for (out_row, lhs_row) in self
+            .data
+            .chunks_exact_mut(n)
+            .zip(lhs.data.chunks_exact(lhs.cols))
+        {
+            for (&a, rhs_row) in lhs_row.iter().zip(rhs.data.chunks_exact(n)) {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..rhs.cols {
-                    *out.at_mut(i, j) += a * rhs.at(k, j);
+                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
+                    *o += a * b;
                 }
             }
         }
-        out
+    }
+
+    /// Overwrites this tile with a copy of `src` (shape included), reusing
+    /// the buffer.
+    pub fn copy_from(&mut self, src: &Tile) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// Element-wise accumulation `self += rhs`.
@@ -262,6 +327,27 @@ mod tests {
         assert_eq!(c.at(0, 1), 64.0);
         assert_eq!(c.at(1, 0), 139.0);
         assert_eq!(c.at(1, 1), 154.0);
+    }
+
+    #[test]
+    fn matmul_accumulate_adds_onto_existing_values() {
+        let a = Tile::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let b = Tile::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
+        let mut c = Tile::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]);
+        c.matmul_accumulate(&a, &b);
+        assert_eq!(c.as_slice(), &[59.0, 65.0, 140.0, 155.0]);
+    }
+
+    #[test]
+    fn buffer_reuse_reshapes_and_copies() {
+        let a = Tile::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut t = Tile::zeros(8, 8);
+        a.transpose_into(&mut t);
+        assert_eq!(t, a.transposed());
+        t.reset_zeroed(1, 2);
+        assert_eq!(t.as_slice(), &[0.0, 0.0]);
+        t.copy_from(&a);
+        assert_eq!(t, a);
     }
 
     #[test]

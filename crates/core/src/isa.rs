@@ -299,7 +299,7 @@ pub fn decode_packets(
             for _ in 0..nfields {
                 fields.push(i64::from(bytes.get_i32_le()));
             }
-            payload.push(Uop::new(name, fields));
+            payload.push(Uop::new(name.to_string(), fields));
         }
         packets.push(Packet { header, payload });
     }

@@ -37,6 +37,7 @@ use crate::stream::StreamStats;
 use crate::uop::Uop;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Default bound on engine scheduler steps before aborting a run.
 pub const DEFAULT_STEP_LIMIT: u64 = 50_000_000;
@@ -71,7 +72,7 @@ pub struct RunReport {
     /// Decoder statistics, if the run was driven from instruction packets.
     pub decoder: Option<DecoderStats>,
     /// Aggregate statistics of every stream edge.
-    pub stream_stats: Vec<(String, StreamStats)>,
+    pub stream_stats: Vec<(Arc<str>, StreamStats)>,
     /// Tokens left in flight when the run ended (should be zero for a
     /// well-formed program).
     pub residual_tokens: usize,
@@ -254,15 +255,13 @@ impl Engine {
         }
         let queue = &mut self.backlog[fu.index()];
         let mut moved = 0;
-        while let Some(uop) = queue.front() {
+        while !queue.is_empty() {
             let target = self.datapath.fu_mut(fu);
             if target.uop_queue().is_full() {
                 break;
             }
-            target
-                .push_uop(uop.clone())
-                .expect("queue space checked above");
-            queue.pop_front();
+            let uop = queue.pop_front().expect("backlog checked non-empty");
+            target.push_uop(uop).expect("queue space checked above");
             moved += 1;
         }
         self.backlog_pending -= moved as usize;
@@ -278,7 +277,7 @@ impl Engine {
             .datapath
             .streams()
             .iter()
-            .map(|(_, ch)| (ch.name().to_string(), ch.stats()))
+            .map(|(_, ch)| (Arc::clone(&ch.name), ch.stats()))
             .collect();
         RunReport {
             steps,

@@ -8,9 +8,10 @@
 //! FUs simply report [`StepOutcome::Blocked`](crate::fu::StepOutcome) and are
 //! retried on the next engine pass.
 
-use crate::data::Token;
+use crate::data::{Tile, Token};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Identifier of a stream edge within a [`Datapath`](crate::network::Datapath).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -51,7 +52,9 @@ pub struct StreamStats {
 /// A bounded FIFO carrying [`Token`]s between two functional units.
 #[derive(Debug, Clone)]
 pub struct StreamChannel {
-    name: String,
+    /// Shared so every run report can label its stream statistics without
+    /// copying the name.
+    pub(crate) name: Arc<str>,
     capacity: usize,
     queue: VecDeque<Token>,
     stats: StreamStats,
@@ -66,7 +69,7 @@ impl StreamChannel {
     pub fn new(name: impl Into<String>, capacity: usize) -> Self {
         assert!(capacity > 0, "stream capacity must be non-zero");
         Self {
-            name: name.into(),
+            name: Arc::from(name.into()),
             capacity,
             queue: VecDeque::with_capacity(capacity),
             stats: StreamStats::default(),
@@ -136,19 +139,49 @@ impl StreamChannel {
     }
 }
 
+/// Most tile buffers a [`StreamSet`] keeps for reuse — enough to cover
+/// every tile in flight on the RSN-XNN datapath, so a steady-state run
+/// allocates none.
+const TILE_POOL_LIMIT: usize = 256;
+
 /// The collection of stream channels owned by the execution engine.
 ///
 /// Functional units access their bound streams through this set during a
-/// [`step`](crate::fu::FunctionalUnit::step) call.
+/// [`step`](crate::fu::FunctionalUnit::step) call.  The set also keeps a
+/// pool of tile buffers: FUs that consume a tile [`recycle`](Self::recycle)
+/// it and FUs that produce one take a buffer with [`tile`](Self::tile), so
+/// tiles circulate through the datapath without a heap allocation per
+/// transfer.
 #[derive(Debug, Default)]
 pub struct StreamSet {
     channels: Vec<StreamChannel>,
+    tile_pool: Vec<Vec<f32>>,
 }
 
 impl StreamSet {
     /// Creates an empty stream set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A zero-filled `rows × cols` tile, built on a recycled buffer when the
+    /// pool has one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero.
+    pub fn tile(&mut self, rows: usize, cols: usize) -> Tile {
+        match self.tile_pool.pop() {
+            Some(buffer) => Tile::zeros_in(rows, cols, buffer),
+            None => Tile::zeros(rows, cols),
+        }
+    }
+
+    /// Returns a consumed tile's buffer to the pool.
+    pub fn recycle(&mut self, tile: Tile) {
+        if self.tile_pool.len() < TILE_POOL_LIMIT {
+            self.tile_pool.push(tile.into_vec());
+        }
     }
 
     /// Adds a channel and returns its id.
@@ -295,6 +328,20 @@ mod tests {
         assert!(!set.can_pop(b));
         assert_eq!(set.pop(a).unwrap().as_scalar(), Some(1.0));
         assert_eq!(set.total_queued(), 0);
+    }
+
+    #[test]
+    fn recycled_tile_buffers_are_reused_zeroed() {
+        let mut set = StreamSet::new();
+        let mut tile = set.tile(4, 4);
+        tile.as_mut_slice().fill(3.0);
+        let buffer = tile.as_slice().as_ptr();
+        set.recycle(tile);
+        let again = set.tile(2, 8);
+        assert_eq!(again.as_slice().as_ptr(), buffer);
+        assert_eq!((again.rows(), again.cols()), (2, 8));
+        assert!(again.as_slice().iter().all(|&v| v == 0.0));
+        assert_ne!(set.tile(1, 1).as_slice().as_ptr(), buffer);
     }
 
     #[test]

@@ -9,21 +9,78 @@
 //! constructors and interpreters on top.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Control fields a uOP stores inline; every RSN-XNN kernel needs at most
+/// six, so only hand-built uOPs with more fields touch the heap.
+const INLINE_FIELDS: usize = 6;
+
+/// A uOP's control fields.  Programs hold thousands of uOPs and the engine
+/// moves every one of them from a program into a backlog and on into an FU
+/// queue, so building, cloning and moving a uOP must not allocate.
+#[derive(Clone)]
+enum Fields {
+    Inline { len: u8, data: [i64; INLINE_FIELDS] },
+    Heap(Box<[i64]>),
+}
+
+impl Fields {
+    fn collect(fields: impl IntoIterator<Item = i64>) -> Self {
+        let mut data = [0; INLINE_FIELDS];
+        let mut iter = fields.into_iter();
+        for len in 0..INLINE_FIELDS {
+            match iter.next() {
+                Some(value) => data[len] = value,
+                None => {
+                    return Fields::Inline {
+                        len: len as u8,
+                        data,
+                    }
+                }
+            }
+        }
+        match iter.next() {
+            None => Fields::Inline {
+                len: INLINE_FIELDS as u8,
+                data,
+            },
+            Some(next) => Fields::Heap(
+                data.into_iter()
+                    .chain(std::iter::once(next))
+                    .chain(iter)
+                    .collect(),
+            ),
+        }
+    }
+
+    fn as_slice(&self) -> &[i64] {
+        match self {
+            Fields::Inline { len, data } => &data[..usize::from(*len)],
+            Fields::Heap(fields) => fields,
+        }
+    }
+}
 
 /// A single micro-operation destined for one functional unit.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Uop {
-    opcode: String,
-    fields: Vec<i64>,
+    opcode: Cow<'static, str>,
+    fields: Fields,
 }
 
 impl Uop {
-    /// Creates a uOP with the given opcode and fields.
-    pub fn new(opcode: impl Into<String>, fields: impl IntoIterator<Item = i64>) -> Self {
+    /// Creates a uOP with the given opcode and fields.  A `&'static str`
+    /// mnemonic (every program generator's case) is borrowed, not copied.
+    pub fn new(
+        opcode: impl Into<Cow<'static, str>>,
+        fields: impl IntoIterator<Item = i64>,
+    ) -> Self {
         Self {
             opcode: opcode.into(),
-            fields: fields.into_iter().collect(),
+            fields: Fields::collect(fields),
         }
     }
 
@@ -34,12 +91,12 @@ impl Uop {
 
     /// All control fields.
     pub fn fields(&self) -> &[i64] {
-        &self.fields
+        self.fields.as_slice()
     }
 
     /// Field at `idx`, or `None` if absent.
     pub fn field(&self, idx: usize) -> Option<i64> {
-        self.fields.get(idx).copied()
+        self.fields().get(idx).copied()
     }
 
     /// Field at `idx` interpreted as a flag (non-zero = true).
@@ -54,7 +111,7 @@ impl Uop {
 
     /// Number of control fields.
     pub fn field_count(&self) -> usize {
-        self.fields.len()
+        self.fields().len()
     }
 
     /// Encoded size of this uOP in bytes, as counted for the paper's Fig. 9
@@ -64,14 +121,50 @@ impl Uop {
     /// plus 4 bytes per control field (the AIE side uses a single 4-byte
     /// control word, which domain code models separately).
     pub fn encoded_len(&self) -> usize {
-        1 + 4 * self.fields.len()
+        1 + 4 * self.field_count()
+    }
+}
+
+impl PartialEq for Uop {
+    fn eq(&self, other: &Self) -> bool {
+        self.opcode() == other.opcode() && self.fields() == other.fields()
+    }
+}
+
+impl Eq for Uop {}
+
+impl PartialOrd for Uop {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Uop {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.opcode(), self.fields()).cmp(&(other.opcode(), other.fields()))
+    }
+}
+
+impl Hash for Uop {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.opcode().hash(state);
+        self.fields().hash(state);
+    }
+}
+
+impl fmt::Debug for Uop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Uop")
+            .field("opcode", &self.opcode())
+            .field("fields", &self.fields())
+            .finish()
     }
 }
 
 impl fmt::Display for Uop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(", self.opcode)?;
-        for (i, v) in self.fields.iter().enumerate() {
+        for (i, v) in self.fields().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -190,6 +283,20 @@ mod tests {
         assert!(!u.flag(10));
         assert_eq!(u.unsigned(3), 0);
         assert_eq!(u.unsigned(2), 42);
+    }
+
+    #[test]
+    fn uops_past_the_inline_capacity_keep_every_field() {
+        let long = Uop::new("wide", 0..9);
+        assert_eq!(long.fields(), &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(long.clone(), long);
+        let full = Uop::new(String::from("full"), 0..6);
+        assert_eq!(full.fields(), &[0, 1, 2, 3, 4, 5]);
+        assert!(Uop::new("a", [1]) < Uop::new("a", [1, 0]));
+        assert_eq!(
+            format!("{:?}", Uop::new("load", [1, 2])),
+            "Uop { opcode: \"load\", fields: [1, 2] }"
+        );
     }
 
     #[test]

@@ -139,6 +139,19 @@ pub trait Backend: Send + Sync {
     /// * [`EvalError::Engine`] when the underlying simulation fails.
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError>;
 
+    /// Estimated host cost of [`evaluate`](Self::evaluate) on `workload`,
+    /// in rough nanoseconds.  Parallel runners use it to balance work: the
+    /// sweep starts the costliest jobs first and the serving layer splits
+    /// each micro-batch across a backend's workers by cost
+    /// ([`balanced_groups`](crate::balanced_groups)).  Only the ordering
+    /// and rough ratios matter.  The default `1` marks every workload as
+    /// equally cheap, which keeps the order-preserving even split — right
+    /// for the closed-form models, whose cost does not depend on the shape.
+    fn cost_hint(&self, workload: &WorkloadSpec) -> u64 {
+        let _ = workload;
+        1
+    }
+
     /// Evaluates a slice of workloads, returning one result per workload in
     /// order.  The default simply loops over [`evaluate`](Self::evaluate) —
     /// correct for every in-process backend — but backends with per-call

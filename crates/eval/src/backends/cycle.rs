@@ -14,7 +14,7 @@ use rsn_core::sim::{RunReport, SchedulerKind};
 use rsn_hw::versal::Vck190Spec;
 use rsn_lib::api::EncoderHost;
 use rsn_workloads::attention::{encoder_layer_forward, multi_head_attention, EncoderWeights};
-use rsn_workloads::Matrix;
+use rsn_workloads::{BertConfig, Matrix};
 use rsn_xnn::config::XnnConfig;
 use rsn_xnn::datapath::XnnDatapath;
 use rsn_xnn::instr_stats::program_instr_stats;
@@ -25,6 +25,16 @@ use rsn_xnn::program::{
 
 /// Largest `tokens × hidden` activation the simulator accepts per workload.
 const MAX_ACTIVATION_ELEMENTS: usize = 64 * 64;
+
+/// Host cost model behind [`CycleEngineBackend::cost_hint`], fitted to
+/// release-build timings of the functional workloads on a 2-vCPU x86-64
+/// VM: a fixed charge for building the datapath and the reference inputs,
+/// one per multiply-accumulate streamed through 8×8 GEMM tiles, half that
+/// through attention's whole-head tiles, and one per scalar-pipeline value.
+const BASE_COST_NS: u64 = 40_000;
+const GEMM_MAC_NS: u64 = 2;
+const ATTENTION_MAC_NS: u64 = 1;
+const SCALAR_NS: u64 = 50;
 
 /// Cycle-level execution on the simulated RSN-XNN datapath.
 #[derive(Debug, Clone)]
@@ -127,6 +137,34 @@ impl Backend for CycleEngineBackend {
                 | WorkloadSpec::InstructionFootprint { .. }
                 | WorkloadSpec::DatapathProperties
         )
+    }
+
+    /// Simulation time grows with the work streamed through the datapath,
+    /// so the grid's encoder layers cost tens of times its small GEMMs (see
+    /// the cost constants above); shapes past the size bound are rejected
+    /// at once and cost nothing.
+    fn cost_hint(&self, workload: &WorkloadSpec) -> u64 {
+        let attention_macs = |cfg: &BertConfig| 2 * (cfg.batch * cfg.seq_len.pow(2) * cfg.hidden);
+        let work = match workload {
+            WorkloadSpec::EncoderLayer { cfg }
+                if cfg.tokens() * cfg.hidden <= MAX_ACTIVATION_ELEMENTS =>
+            {
+                let projections = cfg.tokens() * cfg.hidden * (4 * cfg.hidden + 2 * cfg.ff_dim);
+                projections as u64 * GEMM_MAC_NS + attention_macs(cfg) as u64 * ATTENTION_MAC_NS
+            }
+            WorkloadSpec::FunctionalGemm { m, k, n, .. } if m * n <= MAX_ACTIVATION_ELEMENTS => {
+                (m * k * n) as u64 * GEMM_MAC_NS
+            }
+            WorkloadSpec::FunctionalAttention { cfg, .. }
+                if cfg.tokens() * cfg.hidden <= MAX_ACTIVATION_ELEMENTS =>
+            {
+                attention_macs(cfg) as u64 * ATTENTION_MAC_NS
+            }
+            WorkloadSpec::ScalarPipeline { elements } => *elements as u64 * SCALAR_NS,
+            WorkloadSpec::InstructionFootprint { .. } | WorkloadSpec::DatapathProperties => 0,
+            _ => return 1,
+        };
+        BASE_COST_NS + work
     }
 
     fn evaluate(&self, workload: &WorkloadSpec) -> Result<EvalReport, EvalError> {

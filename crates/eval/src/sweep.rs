@@ -15,24 +15,73 @@ use crate::workload::WorkloadSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Runs `jobs` closures across all available cores, preserving order.
-fn run_jobs<T: Send>(jobs: Vec<Box<dyn Fn() -> T + Send + Sync + '_>>) -> Vec<T> {
+/// Indices of `costs` from the most to the least expensive, ties in index
+/// order: the order in which workers sharing one job list should claim
+/// jobs, so the longest start first and the short ones fill in around them
+/// (longest-processing-time-first list scheduling).
+fn longest_first(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    order
+}
+
+/// Splits the indices of `costs` into at most `groups` non-empty groups,
+/// one per worker.
+///
+/// When every cost is equal the groups are contiguous runs of
+/// `ceil(n / groups)` indices, in order — the even split of a batch whose
+/// items all cost the same.  Otherwise each index, from the costliest down
+/// (ties in index order), joins the group with the least total cost so far
+/// (ties to the lower group), which keeps the most loaded worker within one
+/// item of the average instead of leaving it whichever expensive items
+/// happen to be adjacent in the batch.
+pub fn balanced_groups(costs: &[u64], groups: usize) -> Vec<Vec<usize>> {
+    let n = costs.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let groups = groups.clamp(1, n);
+    if costs.iter().all(|&c| c == costs[0]) {
+        let len = n.div_ceil(groups);
+        return (0..n)
+            .step_by(len)
+            .map(|start| (start..(start + len).min(n)).collect())
+            .collect();
+    }
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); groups];
+    let mut load = vec![0u64; groups];
+    for i in longest_first(costs) {
+        let lightest = (0..groups)
+            .min_by_key(|&g| load[g])
+            .expect("at least one group");
+        load[lightest] = load[lightest].saturating_add(costs[i]);
+        out[lightest].push(i);
+    }
+    out
+}
+
+/// Runs `jobs` closures across all available cores, preserving order;
+/// workers claim jobs in `order` (a permutation of the job indices).
+fn run_jobs<T: Send>(jobs: Vec<Box<dyn Fn() -> T + Send + Sync + '_>>, order: &[usize]) -> Vec<T> {
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    run_jobs_on(jobs, threads)
+    run_jobs_on(jobs, order, threads)
 }
 
 /// Runs `jobs` closures across `threads` worker threads, preserving order.
+/// Workers claim jobs in `order`, a permutation of the job indices.
 ///
 /// Results land in one pre-allocated slot per job — each slot is owned by
 /// whichever worker claimed that job index, so there is no shared result
 /// vector to contend on and no way for slot `i` to receive job `j`'s output.
 fn run_jobs_on<T: Send>(
     jobs: Vec<Box<dyn Fn() -> T + Send + Sync + '_>>,
+    order: &[usize],
     threads: usize,
 ) -> Vec<T> {
     let n = jobs.len();
+    debug_assert_eq!(order.len(), n, "claim order must cover every job");
     let threads = threads.max(1).min(n.max(1));
     if threads <= 1 || n <= 1 {
         return jobs.into_iter().map(|j| j()).collect();
@@ -42,10 +91,11 @@ fn run_jobs_on<T: Send>(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let claim = next.fetch_add(1, Ordering::Relaxed);
+                if claim >= n {
                     break;
                 }
+                let i = order[claim];
                 let out = jobs[i]();
                 *slots[i].lock().expect("slot lock") = Some(out);
             });
@@ -62,7 +112,8 @@ fn run_jobs_on<T: Send>(
         .collect()
 }
 
-/// Evaluates every workload on one backend, in parallel, preserving order.
+/// Evaluates every workload on one backend, in parallel, preserving order;
+/// the costliest workloads ([`Backend::cost_hint`]) start first.
 pub fn evaluate_grid(
     backend: &dyn Backend,
     workloads: &[WorkloadSpec],
@@ -75,7 +126,8 @@ pub fn evaluate_grid(
             job
         })
         .collect();
-    run_jobs(jobs)
+    let costs: Vec<u64> = workloads.iter().map(|w| backend.cost_hint(w)).collect();
+    run_jobs(jobs, &longest_first(&costs))
 }
 
 /// A registry of comparison backends that evaluates workloads across all of
@@ -148,24 +200,33 @@ impl Evaluator {
                 job
             })
             .collect();
-        run_jobs(jobs)
+        let costs: Vec<u64> = self
+            .backends
+            .iter()
+            .map(|b| b.cost_hint(workload))
+            .collect();
+        run_jobs(jobs, &longest_first(&costs))
     }
 
-    /// Evaluates a workload grid on every registered backend, in parallel.
-    /// The outer result is indexed like [`Evaluator::backends`], the inner
-    /// like `workloads`.
+    /// Evaluates a workload grid on every registered backend, in parallel;
+    /// the costliest cells ([`Backend::cost_hint`]) start first.  The outer
+    /// result is indexed like [`Evaluator::backends`], the inner like
+    /// `workloads`.
     pub fn evaluate_grid(
         &self,
         workloads: &[WorkloadSpec],
     ) -> Vec<Vec<Result<EvalReport, EvalError>>> {
+        let cells = self.backends.len() * workloads.len();
         let mut jobs: Vec<Box<dyn Fn() -> Result<EvalReport, EvalError> + Send + Sync>> =
-            Vec::with_capacity(self.backends.len() * workloads.len());
+            Vec::with_capacity(cells);
+        let mut costs = Vec::with_capacity(cells);
         for b in &self.backends {
             for w in workloads {
                 jobs.push(Box::new(move || b.evaluate(w)));
+                costs.push(b.cost_hint(w));
             }
         }
-        let flat = run_jobs(jobs);
+        let flat = run_jobs(jobs, &longest_first(&costs));
         let mut rows = Vec::with_capacity(self.backends.len());
         let mut it = flat.into_iter();
         for _ in 0..self.backends.len() {
@@ -241,8 +302,40 @@ mod tests {
                 job
             })
             .collect();
-        let results = run_jobs_on(jobs, 2);
+        // Claim back to front: results still land in job order.
+        let order: Vec<usize> = (0..n).rev().collect();
+        let results = run_jobs_on(jobs, &order, 2);
         assert_eq!(results, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn uniform_costs_split_into_contiguous_runs() {
+        assert_eq!(balanced_groups(&[1; 5], 2), vec![vec![0, 1, 2], vec![3, 4]]);
+        assert_eq!(balanced_groups(&[7; 3], 8), vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(balanced_groups(&[4; 4], 1), vec![vec![0, 1, 2, 3]]);
+        assert!(balanced_groups(&[], 2).is_empty());
+    }
+
+    #[test]
+    fn skewed_costs_are_balanced_longest_first() {
+        // The paper grid's shape: the three expensive items sit next to
+        // each other, so an even split would hand one worker nearly all
+        // the work.
+        let costs = [160, 650, 1570, 50, 280, 50, 540, 120];
+        assert_eq!(longest_first(&costs), vec![2, 1, 6, 4, 0, 7, 3, 5]);
+        let groups = balanced_groups(&costs, 2);
+        assert_eq!(groups, vec![vec![2, 7], vec![1, 6, 4, 0, 3, 5]]);
+        let loads: Vec<u64> = groups
+            .iter()
+            .map(|g| g.iter().map(|&i| costs[i]).sum())
+            .collect();
+        assert_eq!(loads, vec![1690, 1730]);
+        let even: Vec<u64> = costs.chunks(4).map(|c| c.iter().sum()).collect();
+        assert_eq!(even, vec![2430, 990]);
+        // Every index lands in exactly one group.
+        let mut all: Vec<usize> = groups.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..costs.len()).collect::<Vec<_>>());
     }
 
     #[test]

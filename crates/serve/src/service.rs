@@ -24,7 +24,7 @@ use crate::pool::ConnectionPool;
 use crate::request::{BackendSelector, EvalRequest, EvalResponse, Priority, ResponseHandle};
 use crate::stats::{ServiceStats, StatsCounters};
 use crate::topology::Topology;
-use rsn_eval::{Backend, EvalError, EvalReport, Evaluator, WorkloadSpec};
+use rsn_eval::{balanced_groups, Backend, EvalError, EvalReport, Evaluator, WorkloadSpec};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -941,16 +941,25 @@ fn dispatch(
         );
     }
     let workers = inner.config.workers_per_backend.max(1);
-    for (backend, mut tasks) in per_backend.into_iter().enumerate() {
+    for (backend, tasks) in per_backend.into_iter().enumerate() {
         if tasks.is_empty() {
             continue;
         }
         // Split this backend's share of the batch across its worker pool so
-        // one worker never serialises a whole batch.
-        let chunk = tasks.len().div_ceil(workers);
-        while !tasks.is_empty() {
-            let tail = tasks.split_off(chunk.min(tasks.len()));
-            let _ = senders[backend].send(std::mem::replace(&mut tasks, tail));
+        // one worker never serialises a whole batch — by cost, when the
+        // backend's specs differ in cost (a grid whose expensive specs sit
+        // side by side would otherwise load one worker with all of them).
+        let costs: Vec<u64> = tasks
+            .iter()
+            .map(|task| inner.backends[backend].cost_hint(&task.spec))
+            .collect();
+        let mut tasks: Vec<Option<WorkTask>> = tasks.into_iter().map(Some).collect();
+        for group in balanced_groups(&costs, workers) {
+            let chunk = group
+                .into_iter()
+                .map(|i| tasks[i].take().expect("each task joins one group"))
+                .collect();
+            let _ = senders[backend].send(chunk);
         }
     }
 }

@@ -8,6 +8,8 @@
 //!   selected it — no worker-pool deadlock, and the service keeps serving.
 //! * The service grid path is result-identical to `Evaluator::evaluate_grid`
 //!   (the guarantee that lets table binaries swap call sites byte-for-byte).
+//! * A batch whose specs differ in cost is split across a backend's workers
+//!   by cost, so adjacent expensive specs do not queue behind each other.
 
 use rsn_eval::{
     Backend, CharmBackend, EvalError, EvalReport, Evaluator, WorkloadSpec, XnnAnalyticBackend,
@@ -264,6 +266,77 @@ fn poisoned_backend_fails_only_its_own_requests() {
     let stats = service.stats();
     assert_eq!(stats.completed, 16);
     assert_eq!(stats.eval_errors, 7); // 5 panics + 2 errors
+}
+
+/// A backend rating `SquareGemm { n }` at `n` ms through `cost_hint`.  A
+/// spec rated 40 ms or more is "costly" and only completes once the other
+/// costly spec is being evaluated at the same time — which can happen only
+/// on a different worker.
+#[derive(Default)]
+struct Skewed {
+    costly_arrived: std::sync::Mutex<usize>,
+    met: std::sync::Condvar,
+}
+
+impl Backend for Skewed {
+    fn name(&self) -> &str {
+        "skewed"
+    }
+    fn supports(&self, w: &WorkloadSpec) -> bool {
+        matches!(w, WorkloadSpec::SquareGemm { .. })
+    }
+    fn cost_hint(&self, w: &WorkloadSpec) -> u64 {
+        match w {
+            WorkloadSpec::SquareGemm { n } => *n as u64 * 1_000_000,
+            _ => 1,
+        }
+    }
+    fn evaluate(&self, w: &WorkloadSpec) -> Result<EvalReport, EvalError> {
+        let WorkloadSpec::SquareGemm { n } = w else {
+            return Err(EvalError::Unsupported {
+                backend: "skewed".to_string(),
+                workload: w.name(),
+            });
+        };
+        if *n >= 40 {
+            let mut arrived = self.costly_arrived.lock().unwrap();
+            *arrived += 1;
+            self.met.notify_all();
+            let (arrived, _) = self
+                .met
+                .wait_timeout_while(arrived, Duration::from_secs(5), |a| *a < 2)
+                .unwrap();
+            if *arrived < 2 {
+                return Err(EvalError::Remote {
+                    message: format!("costly spec {n} never ran beside the other"),
+                });
+            }
+        }
+        Ok(EvalReport::new("skewed", w.name()))
+    }
+}
+
+#[test]
+fn costly_specs_of_one_batch_land_on_different_workers() {
+    // The two costly specs sit side by side, as the paper grid's encoder
+    // layers do: an order-preserving even split would hand both to one
+    // worker, which evaluates them one after the other.
+    let service = EvalService::with_config(
+        Evaluator::empty().with_backend(Box::new(Skewed::default())),
+        ServiceConfig {
+            workers_per_backend: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let workloads: Vec<WorkloadSpec> = [40usize, 41, 1, 2, 3, 4]
+        .iter()
+        .map(|&n| WorkloadSpec::SquareGemm { n })
+        .collect();
+    let grid = service.evaluate_grid(&workloads);
+    for result in &grid[0] {
+        assert!(result.is_ok(), "{result:?}");
+    }
+    assert_eq!(service.stats().evaluations, 6);
 }
 
 #[test]

@@ -121,25 +121,58 @@ impl Matrix {
     /// elements, zero-padding past the edge (used for tiling).
     pub fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> Matrix {
         let mut out = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                if r0 + r < self.rows && c0 + c < self.cols {
-                    *out.at_mut(r, c) = self.at(r0 + r, c0 + c);
-                }
-            }
-        }
+        self.copy_block_into(r0, c0, cols, &mut out.data);
         out
+    }
+
+    /// Copies the `rows × cols` block at `(r0, c0)` into `out` (row-major,
+    /// `cols` wide, `rows = out.len() / cols`); elements past the edge are
+    /// written as zero.  The allocation-free form of [`block`](Self::block).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is zero or does not divide `out.len()`.
+    pub fn copy_block_into(&self, r0: usize, c0: usize, cols: usize, out: &mut [f32]) {
+        assert!(
+            cols > 0 && out.len().is_multiple_of(cols),
+            "block buffer length mismatch"
+        );
+        let inside = cols.min(self.cols.saturating_sub(c0));
+        for (r, out_row) in out.chunks_exact_mut(cols).enumerate() {
+            let (copied, padding) = out_row.split_at_mut(inside);
+            if r0 + r < self.rows && inside > 0 {
+                let start = (r0 + r) * self.cols + c0;
+                copied.copy_from_slice(&self.data[start..start + inside]);
+            } else {
+                copied.fill(0.0);
+            }
+            padding.fill(0.0);
+        }
     }
 
     /// Writes `block` into this matrix at `(r0, c0)`, ignoring elements past
     /// the edge.
     pub fn set_block(&mut self, r0: usize, c0: usize, block: &Matrix) {
-        for r in 0..block.rows() {
-            for c in 0..block.cols() {
-                if r0 + r < self.rows && c0 + c < self.cols {
-                    *self.at_mut(r0 + r, c0 + c) = block.at(r, c);
-                }
+        self.set_block_from_slice(r0, c0, block.cols, &block.data);
+    }
+
+    /// [`set_block`](Self::set_block) from a row-major slice `cols` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is zero or does not divide `block.len()`.
+    pub fn set_block_from_slice(&mut self, r0: usize, c0: usize, cols: usize, block: &[f32]) {
+        assert!(
+            cols > 0 && block.len().is_multiple_of(cols),
+            "block buffer length mismatch"
+        );
+        let inside = cols.min(self.cols.saturating_sub(c0));
+        for (r, row) in block.chunks_exact(cols).enumerate() {
+            if r0 + r >= self.rows || inside == 0 {
+                break;
             }
+            let start = (r0 + r) * self.cols + c0;
+            self.data[start..start + inside].copy_from_slice(&row[..inside]);
         }
     }
 
@@ -170,9 +203,9 @@ impl Matrix {
     /// Transposed copy.
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.at_mut(c, r) = self.at(r, c);
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
         out
@@ -203,9 +236,9 @@ impl Matrix {
     pub fn add_bias(&self, bias: &[f32]) -> Matrix {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
         let mut out = self.clone();
-        for r in 0..self.rows {
-            for (c, b) in bias.iter().enumerate() {
-                *out.at_mut(r, c) += b;
+        for row in out.data.chunks_exact_mut(self.cols) {
+            for (v, b) in row.iter_mut().zip(bias) {
+                *v += b;
             }
         }
         out
@@ -223,17 +256,8 @@ impl Matrix {
     /// Row-wise softmax (the attention-score normalisation).
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
-        for r in 0..self.rows {
-            let row = &mut out.data[r * self.cols..(r + 1) * self.cols];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
+        for row in out.data.chunks_exact_mut(self.cols) {
+            softmax_in_place(row);
         }
         out
     }
@@ -254,14 +278,8 @@ impl Matrix {
         assert_eq!(gamma.len(), self.cols, "gamma length mismatch");
         assert_eq!(beta.len(), self.cols, "beta length mismatch");
         let mut out = self.clone();
-        for r in 0..self.rows {
-            let row = &mut out.data[r * self.cols..(r + 1) * self.cols];
-            let mean = row.iter().sum::<f32>() / self.cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / self.cols as f32;
-            let inv = 1.0 / (var + eps).sqrt();
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = (*v - mean) * inv * gamma[c] + beta[c];
-            }
+        for row in out.data.chunks_exact_mut(self.cols) {
+            layer_norm_in_place(row, gamma, beta, eps);
         }
         out
     }
@@ -290,6 +308,35 @@ impl Matrix {
 /// Scalar GELU (tanh approximation).
 pub fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+/// Softmax of one row, in place — [`Matrix::softmax_rows`]'s per-row step,
+/// shared with datapath FUs that transform tiles without copying them.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
+}
+
+/// LayerNorm of one row, in place — [`Matrix::layer_norm`]'s per-row step.
+///
+/// # Panics
+///
+/// Panics if `gamma` or `beta` is shorter than the row.
+pub fn layer_norm_in_place(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
+    let n = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / n;
+    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+    let inv = 1.0 / (var + eps).sqrt();
+    for (c, v) in row.iter_mut().enumerate() {
+        *v = (*v - mean) * inv * gamma[c] + beta[c];
+    }
 }
 
 #[cfg(test)]
@@ -381,6 +428,38 @@ mod tests {
         let edge = a.block(5, 5, 3, 3);
         assert_eq!(edge.at(2, 2), 0.0);
         assert_eq!(edge.at(0, 0), a.at(5, 5));
+        // Blocks entirely past the edge read as zeros and write nothing.
+        assert!(a.block(7, 9, 2, 2).as_slice().iter().all(|&v| v == 0.0));
+        b.set_block(6, 6, &blk);
+        assert_eq!(b.at(3, 3), a.at(3, 3));
+    }
+
+    #[test]
+    fn slice_block_copies_match_element_wise_definition() {
+        let a = Matrix::random(5, 7, 6);
+        for (r0, c0, rows, cols) in [(0, 0, 5, 7), (1, 2, 3, 4), (3, 5, 4, 4), (4, 6, 1, 1)] {
+            let mut out = vec![9.0; rows * cols];
+            a.copy_block_into(r0, c0, cols, &mut out);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let expected = if r0 + r < 5 && c0 + c < 7 {
+                        a.at(r0 + r, c0 + c)
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(out[r * cols + c], expected, "({r0},{c0}) [{r},{c}]");
+                }
+            }
+            let mut b = Matrix::zeros(5, 7);
+            b.set_block_from_slice(r0, c0, cols, &out);
+            for r in 0..5 {
+                for c in 0..7 {
+                    let inside = (r0..r0 + rows).contains(&r) && (c0..c0 + cols).contains(&c);
+                    let expected = if inside { a.at(r, c) } else { 0.0 };
+                    assert_eq!(b.at(r, c), expected);
+                }
+            }
+        }
     }
 
     #[test]

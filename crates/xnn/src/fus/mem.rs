@@ -140,7 +140,10 @@ impl FunctionalUnit for MemFu {
             if xfer.send_remaining > 0 && !self.buffer.is_empty() && streams.can_push(self.out) {
                 let tile = self.buffer.pop_front().expect("buffer non-empty");
                 let tile = if xfer.transpose {
-                    tile.transposed()
+                    let mut transposed = streams.tile(tile.cols(), tile.rows());
+                    tile.transpose_into(&mut transposed);
+                    streams.recycle(tile);
+                    transposed
                 } else {
                     tile
                 };

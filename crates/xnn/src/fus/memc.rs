@@ -16,7 +16,7 @@ use rsn_core::data::{Tile, Token};
 use rsn_core::fu::{FunctionalUnit, StepOutcome};
 use rsn_core::stream::{StreamId, StreamSet};
 use rsn_core::uop::UopQueue;
-use rsn_workloads::Matrix;
+use rsn_workloads::tensor::{gelu_scalar, layer_norm_in_place, softmax_in_place};
 
 /// The non-MM transform a `post` uOP applies to each tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +83,10 @@ pub struct MemCFu {
     bias: Vec<f32>,
     gamma: Vec<f32>,
     beta: Vec<f32>,
+    /// Identity LayerNorm parameters (ones / zeros) used when `gamma` /
+    /// `beta` do not match the tile width, kept so no tile allocates them.
+    default_gamma: Vec<f32>,
+    default_beta: Vec<f32>,
     softmax_scale: f32,
     nonmm_ops: u64,
 }
@@ -109,6 +113,8 @@ impl MemCFu {
             bias: Vec::new(),
             gamma: Vec::new(),
             beta: Vec::new(),
+            default_gamma: Vec::new(),
+            default_beta: Vec::new(),
             softmax_scale: 1.0,
             nonmm_ops: 0,
         }
@@ -135,43 +141,76 @@ impl MemCFu {
         self.nonmm_ops
     }
 
-    fn bias_slice(&self, col_offset: usize, cols: usize) -> Vec<f32> {
-        (0..cols)
-            .map(|c| self.bias.get(col_offset + c).copied().unwrap_or(0.0))
-            .collect()
+    /// Bias of one absolute output column; zero past the configured vector.
+    fn bias_at(&self, col: usize) -> f32 {
+        self.bias.get(col).copied().unwrap_or(0.0)
     }
 
-    fn apply(&self, kernel: &PostKernel, tile: Tile, residual: Option<Tile>) -> Tile {
-        let rows = tile.rows();
+    fn add_bias(&self, tile: &mut Tile, col_offset: usize) {
+        let cols = tile.cols();
+        for row in tile.as_mut_slice().chunks_exact_mut(cols) {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v += self.bias_at(col_offset + c);
+            }
+        }
+    }
+
+    /// Applies the kernel's transform to `tile` in place, with the same
+    /// per-element arithmetic as the reference operators in
+    /// `rsn_workloads::tensor`.
+    fn apply(&mut self, kernel: &PostKernel, tile: &mut Tile, residual: Option<&Tile>) {
         let cols = tile.cols();
         let col_offset =
             (kernel.col_tile_offset + (kernel.processed % kernel.col_tiles.max(1))) * cols;
-        let m = Matrix::from_vec(rows, cols, tile.into_vec());
-        let result = match kernel.transform {
-            PostTransform::None => m,
-            PostTransform::Bias => m.add_bias(&self.bias_slice(col_offset, cols)),
-            PostTransform::BiasGelu => m.add_bias(&self.bias_slice(col_offset, cols)).gelu(),
-            PostTransform::ScaledSoftmax => m.scale(self.softmax_scale).softmax_rows(),
-            PostTransform::BiasResidualNorm => {
-                let mut x = m.add_bias(&self.bias_slice(col_offset, cols));
-                if let Some(res) = residual {
-                    let r = Matrix::from_vec(res.rows(), res.cols(), res.into_vec());
-                    x = x.add(&r);
+        match kernel.transform {
+            PostTransform::None => {}
+            PostTransform::Bias => self.add_bias(tile, col_offset),
+            PostTransform::BiasGelu => {
+                self.add_bias(tile, col_offset);
+                for v in tile.as_mut_slice() {
+                    *v = gelu_scalar(*v);
                 }
+            }
+            PostTransform::ScaledSoftmax => {
+                let scale = self.softmax_scale;
+                for row in tile.as_mut_slice().chunks_exact_mut(cols) {
+                    for v in row.iter_mut() {
+                        *v *= scale;
+                    }
+                    softmax_in_place(row);
+                }
+            }
+            PostTransform::BiasResidualNorm => {
+                self.add_bias(tile, col_offset);
+                if let Some(res) = residual {
+                    assert_eq!(
+                        (res.rows(), res.cols()),
+                        (tile.rows(), cols),
+                        "residual shape mismatch"
+                    );
+                    for (v, r) in tile.as_mut_slice().iter_mut().zip(res.as_slice()) {
+                        *v += r;
+                    }
+                }
+                // Unconfigured (or mis-sized) parameters mean the identity
+                // affine: gamma 1, beta 0.
                 let gamma = if self.gamma.len() == cols {
-                    self.gamma.clone()
+                    &self.gamma
                 } else {
-                    vec![1.0; cols]
+                    self.default_gamma.resize(cols, 1.0);
+                    &self.default_gamma
                 };
                 let beta = if self.beta.len() == cols {
-                    self.beta.clone()
+                    &self.beta
                 } else {
-                    vec![0.0; cols]
+                    self.default_beta.resize(cols, 0.0);
+                    &self.default_beta
                 };
-                x.layer_norm(&gamma, &beta, 1e-5)
+                for row in tile.as_mut_slice().chunks_exact_mut(cols) {
+                    layer_norm_in_place(row, gamma, beta, 1e-5);
+                }
             }
-        };
-        Tile::from_vec(rows, cols, result.into_vec())
+        }
     }
 }
 
@@ -243,7 +282,7 @@ impl FunctionalUnit for MemCFu {
                     StepOutcome::Blocked
                 };
             }
-            let tile = streams
+            let mut tile = streams
                 .pop(self.from_mme)
                 .and_then(Token::into_tile)
                 .unwrap_or_else(|| Tile::zeros(1, 1));
@@ -252,9 +291,12 @@ impl FunctionalUnit for MemCFu {
             } else {
                 None
             };
-            let result = self.apply(&kernel, tile, residual);
+            self.apply(&kernel, &mut tile, residual.as_ref());
+            if let Some(residual) = residual {
+                streams.recycle(residual);
+            }
             streams
-                .push(out, Token::Tile(result))
+                .push(out, Token::Tile(tile))
                 .expect("capacity checked");
             if kernel.transform != PostTransform::None {
                 self.nonmm_ops += 1;
@@ -283,6 +325,7 @@ impl FunctionalUnit for MemCFu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsn_workloads::Matrix;
 
     #[test]
     fn transform_codes_roundtrip() {
@@ -307,7 +350,8 @@ mod tests {
             vec![],
         );
         fu.set_bias(vec![1.0, 2.0, 3.0]);
-        assert_eq!(fu.bias_slice(1, 4), vec![2.0, 3.0, 0.0, 0.0]);
+        let bias: Vec<f32> = (1..5).map(|c| fu.bias_at(c)).collect();
+        assert_eq!(bias, vec![2.0, 3.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -328,8 +372,8 @@ mod tests {
             col_tile_offset: 0,
             col_tiles: 1,
         };
-        let tile = Tile::from_vec(2, 3, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        let out = fu.apply(&kernel, tile, None);
+        let mut out = Tile::from_vec(2, 3, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        fu.apply(&kernel, &mut out, None);
         for r in 0..2 {
             let sum: f32 = (0..3).map(|c| out.at(r, c)).sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -358,15 +402,62 @@ mod tests {
         };
         let x = Matrix::random(2, cols, 1);
         let res = Matrix::random(2, cols, 2);
-        let tile = Tile::from_vec(2, cols, x.clone().into_vec());
+        let mut tile = Tile::from_vec(2, cols, x.clone().into_vec());
         let res_tile = Tile::from_vec(2, cols, res.clone().into_vec());
-        let out = fu.apply(&kernel, tile, Some(res_tile));
+        fu.apply(&kernel, &mut tile, Some(&res_tile));
         let expected = x.add_bias(&vec![0.5; cols]).add(&res).layer_norm(
             &vec![1.0; cols],
             &vec![0.0; cols],
             1e-5,
         );
-        let got = Matrix::from_vec(2, cols, out.into_vec());
-        assert!(got.max_abs_diff(&expected) < 1e-5);
+        // In place, but with the reference operators' arithmetic: equal to
+        // the bit, not just within a tolerance.
+        assert_eq!(tile.as_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn in_place_transforms_equal_the_reference_operators_exactly() {
+        let (rows, cols) = (3, 4);
+        let bias: Vec<f32> = Matrix::random(1, 12, 3).into_vec();
+        let mut fu = MemCFu::new(
+            "MemC0",
+            rsn_core::stream::StreamId::from_index(0),
+            rsn_core::stream::StreamId::from_index(1),
+            vec![],
+        );
+        fu.set_bias(bias.clone());
+        fu.set_softmax_scale(0.25);
+        let x = Matrix::random(rows, cols, 4);
+        let res = Matrix::random(rows, cols, 5);
+        // The second tile of a two-column-tile row starting at column tile 1
+        // reads bias columns 8..12.
+        let slice = &bias[8..12];
+        let cases = [
+            (PostTransform::None, x.clone()),
+            (PostTransform::Bias, x.add_bias(slice)),
+            (PostTransform::BiasGelu, x.add_bias(slice).gelu()),
+            (PostTransform::ScaledSoftmax, x.scale(0.25).softmax_rows()),
+            (
+                PostTransform::BiasResidualNorm,
+                x.add_bias(slice)
+                    .add(&res)
+                    .layer_norm(&[1.0; 4], &[0.0; 4], 1e-5),
+            ),
+        ];
+        for (transform, expected) in cases {
+            let kernel = PostKernel {
+                remaining: 1,
+                processed: 1,
+                transform,
+                dest_port: 0,
+                use_residual: true,
+                col_tile_offset: 1,
+                col_tiles: 2,
+            };
+            let mut tile = Tile::from_vec(rows, cols, x.clone().into_vec());
+            let res_tile = Tile::from_vec(rows, cols, res.clone().into_vec());
+            fu.apply(&kernel, &mut tile, Some(&res_tile));
+            assert_eq!(tile.as_slice(), expected.as_slice(), "{transform:?}");
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! e.g. switching between "all MMEs on one large MM" and "pipeline two
 //! dependent MMs" without touching the MME programs (§4.1).
 
+use rsn_core::data::Token;
 use rsn_core::fu::{FunctionalUnit, StepOutcome};
 use rsn_core::stream::{StreamId, StreamSet};
 use rsn_core::uop::UopQueue;
@@ -164,10 +165,21 @@ impl FunctionalUnit for MeshFu {
                         && targets.iter().all(|&o| streams.can_push(o))
                     {
                         let token = streams.pop(self.ins[in_port]).expect("checked");
-                        for &o in targets {
-                            streams.push(o, token.clone()).expect("capacity checked");
+                        let (&last, copies) = targets.split_last().expect("targets non-empty");
+                        for &o in copies {
+                            let copy = match &token {
+                                Token::Tile(tile) => {
+                                    let mut copy = streams.tile(tile.rows(), tile.cols());
+                                    copy.copy_from(tile);
+                                    Token::Tile(copy)
+                                }
+                                other => other.clone(),
+                            };
+                            streams.push(o, copy).expect("capacity checked");
                             self.tiles_routed += 1;
                         }
+                        streams.push(last, token).expect("capacity checked");
+                        self.tiles_routed += 1;
                         moved += 1;
                         self.active = if remaining == 1 {
                             None

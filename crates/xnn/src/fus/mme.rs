@@ -30,6 +30,9 @@ pub struct MmeFu {
     out: StreamId,
     queue: UopQueue,
     active: Option<MatmulKernel>,
+    /// Product of the current tile pair before it joins the accumulator;
+    /// kept across steps so the steady state allocates nothing.
+    scratch: Tile,
     flops: u64,
     tiles_produced: u64,
 }
@@ -45,6 +48,7 @@ impl MmeFu {
             out,
             queue: UopQueue::default(),
             active: None,
+            scratch: Tile::zeros(1, 1),
             flops: 0,
             tiles_produced: 0,
         }
@@ -143,11 +147,24 @@ impl FunctionalUnit for MmeFu {
                     .and_then(Token::into_tile)
                     .unwrap_or_else(|| Tile::zeros(1, 1));
                 self.flops += 2 * (lhs.rows() * lhs.cols() * rhs.cols()) as u64;
-                let product = lhs.matmul(&rhs);
+                // The first pair's product becomes the accumulator; later
+                // products are formed in the reusable scratch tile and then
+                // added, so every output keeps the sum-of-products rounding
+                // of a tile-by-tile accumulation.
                 match kernel.acc.as_mut() {
-                    Some(acc) => acc.accumulate(&product),
-                    None => kernel.acc = Some(product),
+                    Some(acc) => {
+                        self.scratch.reset_zeroed(lhs.rows(), rhs.cols());
+                        self.scratch.matmul_accumulate(&lhs, &rhs);
+                        acc.accumulate(&self.scratch);
+                    }
+                    None => {
+                        let mut acc = streams.tile(lhs.rows(), rhs.cols());
+                        acc.matmul_accumulate(&lhs, &rhs);
+                        kernel.acc = Some(acc);
+                    }
                 }
+                streams.recycle(lhs);
+                streams.recycle(rhs);
                 kernel.k_remaining -= 1;
                 moved += 1;
                 if kernel.k_remaining == 0 {

@@ -9,7 +9,7 @@
 //! counts of the paper's Fig. 9 (DDR needing far more control than the
 //! on-chip streaming FUs) fall out of the generated programs naturally.
 
-use rsn_core::data::{Tile, Token};
+use rsn_core::data::Token;
 use rsn_core::fu::{FunctionalUnit, StepOutcome};
 use rsn_core::stream::{StreamId, StreamSet};
 use rsn_core::uop::UopQueue;
@@ -123,18 +123,17 @@ impl OffchipFu {
         if !streams.can_push(out) {
             return StepOutcome::Blocked;
         }
+        let mut tile = streams.tile(rows, cols);
         let Some(m) = self.matrices.get(&matrix) else {
             // Loading an unknown matrix streams zeros so a malformed program
             // fails validation numerically instead of wedging the engine.
-            let tile = Tile::zeros(rows, cols);
             streams
                 .push(out, Token::Tile(tile))
                 .expect("capacity checked");
             self.pending = None;
             return StepOutcome::progress();
         };
-        let block = m.block(row0, col0, rows, cols);
-        let tile = Tile::from_vec(rows, cols, block.into_vec());
+        m.copy_block_into(row0, col0, cols, tile.as_mut_slice());
         self.bytes_loaded += (rows * cols * 4) as u64;
         streams
             .push(out, Token::Tile(tile))
@@ -168,12 +167,12 @@ impl OffchipFu {
             return StepOutcome::progress();
         };
         let (rows, cols) = (tile.rows(), tile.cols());
-        let block = Matrix::from_vec(rows, cols, tile.into_vec());
         let entry = self
             .matrices
             .entry(matrix)
             .or_insert_with(|| Matrix::zeros(row0 + rows, col0 + cols));
-        entry.set_block(row0, col0, &block);
+        entry.set_block_from_slice(row0, col0, cols, tile.as_slice());
+        streams.recycle(tile);
         self.bytes_stored += (rows * cols * 4) as u64;
         self.pending = None;
         StepOutcome::Progress {
