@@ -158,17 +158,22 @@ impl std::fmt::Display for FrontendPolicy {
 
 /// Configuration of an [`EvalService`](crate::EvalService).
 ///
-/// The two batching knobs bound the micro-batcher from both sides: a batch
-/// is dispatched as soon as it holds [`max_batch`](Self::max_batch) requests
-/// *or* as soon as [`batch_deadline`](Self::batch_deadline) has elapsed since
-/// its first request arrived, whichever comes first.  Small deadlines favour
-/// latency, large batches favour throughput (fewer queue and cache
-/// transactions per report).
+/// The micro-batcher is work-conserving: a batch is dispatched at once
+/// while some backend it targets has an idle worker, so batching never adds
+/// latency to a lightly loaded service.  Only while every such worker is
+/// busy does it coalesce, and then the two batching knobs bound it: the
+/// batch goes as soon as it holds [`max_batch`](Self::max_batch) requests,
+/// a worker frees up, or [`batch_deadline`](Self::batch_deadline) has
+/// elapsed since its oldest request arrived, whichever comes first.  Large
+/// batches favour throughput (fewer queue and cache transactions per
+/// report).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Maximum requests coalesced into one batch (size bound).
     pub max_batch: usize,
-    /// Maximum time a batch waits for more requests (deadline bound).
+    /// Maximum time a batch waits for more requests while every worker it
+    /// could use is busy.  Not a latency floor: a batch that finds an idle
+    /// worker dispatches at once.
     pub batch_deadline: Duration,
     /// Worker threads per backend shard.  Each worker owns a handle to one
     /// backend and serves only that backend's work queue, so a slow or

@@ -9,7 +9,8 @@
 //! EvalRequest { spec, backends, priority }
 //!        │ submit()
 //!        ▼
-//!  priority queues ──► micro-batcher (size- and deadline-bounded)
+//!  priority queues ──► micro-batcher (work-conserving; size- and
+//!                      deadline-bounded while every worker is busy)
 //!                              │
 //!                              ▼
 //!                 report cache (WorkloadSpec → EvalReport)
@@ -23,8 +24,8 @@
 //! * [`EvalService`] owns the backends (moved out of an
 //!   [`Evaluator`](rsn_eval::Evaluator)) and answers every accepted request
 //!   exactly once;
-//! * [`ServiceConfig`] bounds the micro-batcher (batch size, deadline) and
-//!   sizes the per-backend worker pools;
+//! * [`ServiceConfig`] bounds the micro-batcher's coalescing under load
+//!   (batch size, deadline) and sizes the per-backend worker pools;
 //! * identical in-flight `(backend, spec)` pairs are deduplicated through
 //!   the report cache — callers of a deduplicated key receive clones of the
 //!   same [`EvalReport`](rsn_eval::EvalReport), and

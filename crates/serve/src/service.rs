@@ -1,4 +1,4 @@
-//! The service engine: a deadline/size-bounded micro-batcher in front of
+//! The service engine: a work-conserving micro-batcher in front of
 //! per-backend sharded worker pools.
 //!
 //! ```text
@@ -17,6 +17,12 @@
 //! replaces the per-call `thread::scope` fan-out of
 //! [`Evaluator::evaluate_grid`] on the serving path with long-running
 //! threads that amortise across every batch.
+//!
+//! The batcher never holds work back from an idle worker: a batch
+//! dispatches at once when some backend it targets has a worker with no
+//! chunk in hand, and otherwise coalesces until it is full or
+//! [`ServiceConfig::batch_deadline`] passes — Nagle's rule, so batching
+//! happens only while every worker is busy and never adds a latency floor.
 
 use crate::cache::{CachedResult, Lookup, ReportCache};
 use crate::config::{RemoteConfig, ServiceConfig};
@@ -118,11 +124,6 @@ struct WorkTask {
 #[derive(Default)]
 struct PendingQueues {
     queues: [VecDeque<QueuedItem>; 3],
-    /// Set by burst submissions (`submit_batch`): the client already
-    /// coalesced its specs, so once the queue drains the batcher dispatches
-    /// without waiting out the batch deadline for stragglers.  Streamed
-    /// single submits leave this unset and coalesce under the deadline.
-    flush: bool,
     shutdown: bool,
 }
 
@@ -146,7 +147,12 @@ struct ServiceInner {
     /// response slot instead of copying the string per result.
     name_refs: Vec<Arc<str>>,
     pending: Mutex<PendingQueues>,
+    /// Wakes the batcher: on submission, on shutdown, and when a saturated
+    /// backend's worker frees up.
     pending_cv: Condvar,
+    /// Per-backend worker occupancy, which the batcher reads to decide
+    /// whether a batch may keep coalescing.
+    loads: Vec<WorkerLoad>,
     cache: ReportCache<Waiter>,
     counters: StatsCounters,
     /// Remote-shard connection pools registered by [`ShardRouter`] (or
@@ -155,6 +161,28 @@ struct ServiceInner {
     /// [`PoolRegistry`]) with the fleet layer, which adds and removes
     /// pools on live topology reload.
     pools: PoolRegistry,
+}
+
+/// How busy one backend's worker pool is.  Only the batcher raises
+/// `in_flight` (in [`dispatch`]); workers lower it once they have answered
+/// what they received.
+struct WorkerLoad {
+    /// Worker threads serving this backend
+    /// (`workers_per_backend × weight`).
+    workers: usize,
+    /// Chunks dispatched to this backend and not yet finished, whether
+    /// still queued in the hand-off channel or in a worker's hands.  The
+    /// count publishes no other data: a worker's `Release` decrement pairs
+    /// with the batcher's `Acquire` load, and the `pending` lock orders a
+    /// decrement that ends saturation against the batcher's check.
+    in_flight: AtomicUsize,
+}
+
+impl WorkerLoad {
+    /// Whether some worker of this backend has no chunk in hand.
+    fn has_idle_worker(&self) -> bool {
+        self.in_flight.load(Ordering::Acquire) < self.workers
+    }
 }
 
 /// The shared pool list behind [`EvalService::stats`]'s `remote_pools`
@@ -209,10 +237,18 @@ impl EvalService {
             .collect();
         let names: Vec<String> = backends.iter().map(|b| b.name().to_string()).collect();
         let name_refs: Vec<Arc<str>> = names.iter().map(|n| Arc::from(n.as_str())).collect();
+        let loads = (0..backends.len())
+            .map(|backend_idx| WorkerLoad {
+                workers: config.workers_per_backend.max(1)
+                    * weights.get(backend_idx).copied().unwrap_or(1).max(1),
+                in_flight: AtomicUsize::new(0),
+            })
+            .collect();
         let inner = Arc::new(ServiceInner {
             backends,
             pending: Mutex::new(PendingQueues::default()),
             pending_cv: Condvar::new(),
+            loads,
             cache: ReportCache::with_capacity(config.cache_capacity),
             counters: StatsCounters::for_shards(&names),
             names,
@@ -228,8 +264,7 @@ impl EvalService {
         // hand-off buffers may be, below.
         let disciplined = inner.config.class_budgets.iter().any(Option::is_some)
             || inner.config.queue_capacity.is_some();
-        for backend_idx in 0..inner.backends.len() {
-            let weight = weights.get(backend_idx).copied().unwrap_or(1).max(1);
+        for (backend_idx, load) in inner.loads.iter().enumerate() {
             // The hand-off to the workers is *bounded*: under overload the
             // backlog must accumulate in `pending` — where the admission
             // gate and the deadline shedder can see it — not in an
@@ -246,11 +281,10 @@ impl EvalService {
             // keeps the pool double-buffered and the blind spot at one
             // dispatch's worth of work.
             let per_worker = if disciplined { 2 } else { MAX_COALESCED_CHUNKS };
-            let depth = inner.config.workers_per_backend.max(1) * weight * per_worker;
-            let (tx, rx) = mpsc::sync_channel::<Vec<WorkTask>>(depth);
+            let (tx, rx) = mpsc::sync_channel::<Vec<WorkTask>>(load.workers * per_worker);
             let rx = Arc::new(Mutex::new(rx));
             senders.push(tx);
-            for _ in 0..inner.config.workers_per_backend.max(1) * weight {
+            for _ in 0..load.workers {
                 let inner = Arc::clone(&inner);
                 let rx = Arc::clone(&rx);
                 workers.push(std::thread::spawn(move || {
@@ -324,15 +358,11 @@ impl EvalService {
 
     /// Accepts a request; the returned handle resolves to exactly one
     /// [`EvalResponse`] with one entry per selected backend.  A single
-    /// submit is a one-spec burst, except that it does *not* flush the
-    /// micro-batcher: streamed submits coalesce under the batch deadline.
+    /// submit is a one-spec burst: it dispatches at once while a selected
+    /// backend has an idle worker, and coalesces with other submits only
+    /// while every such worker is busy.
     pub fn submit(&self, request: EvalRequest) -> ResponseHandle {
-        self.submit_burst(
-            vec![request.spec],
-            request.backends,
-            request.priority,
-            false,
-        )
+        self.submit_burst(vec![request.spec], request.backends, request.priority)
     }
 
     /// Accepts a coalesced batch of specs sharing one backend selection and
@@ -345,18 +375,17 @@ impl EvalService {
     /// ready-made scenario sets (every table binary, bulk sweep producers)
     /// should prefer this over `n` single submits.  The micro-batcher and
     /// the report cache still see per-spec granularity: members are batched,
-    /// deduplicated and sharded individually.  Because the caller already
-    /// coalesced its specs, a burst also *flushes* the batcher: once the
-    /// queue drains, dispatch happens immediately instead of waiting out
-    /// [`ServiceConfig::batch_deadline`] for stragglers — a lone synchronous
-    /// `evaluate_grid` call pays no deadline latency floor.
+    /// deduplicated and sharded individually.  Like every submission, a
+    /// burst that finds an idle worker dispatches at once, so a lone
+    /// synchronous `evaluate_grid` call never waits out
+    /// [`ServiceConfig::batch_deadline`].
     pub fn submit_batch(
         &self,
         specs: Vec<WorkloadSpec>,
         backends: BackendSelector,
         priority: Priority,
     ) -> ResponseHandle {
-        self.submit_burst(specs, backends, priority, true)
+        self.submit_burst(specs, backends, priority)
     }
 
     /// [`submit_batch`](Self::submit_batch) for callers that must not park
@@ -377,7 +406,6 @@ impl EvalService {
             specs,
             backends,
             priority,
-            true,
             Completion::Callback(Box::new(on_done)),
         );
     }
@@ -387,10 +415,9 @@ impl EvalService {
         specs: Vec<WorkloadSpec>,
         backends: BackendSelector,
         priority: Priority,
-        flush: bool,
     ) -> ResponseHandle {
         let (tx, rx) = mpsc::channel();
-        self.submit_burst_with(specs, backends, priority, flush, Completion::Channel(tx));
+        self.submit_burst_with(specs, backends, priority, Completion::Channel(tx));
         ResponseHandle { rx }
     }
 
@@ -399,7 +426,6 @@ impl EvalService {
         specs: Vec<WorkloadSpec>,
         backends: BackendSelector,
         priority: Priority,
-        flush: bool,
         done: Completion,
     ) {
         let inner = &self.inner;
@@ -499,7 +525,6 @@ impl EvalService {
                 }
             }
             pending.queues[priority.index()].extend(items);
-            pending.flush |= flush;
             drop(pending);
             inner.pending_cv.notify_all();
         }
@@ -634,8 +659,7 @@ impl EvalService {
 
     /// Evaluates one workload on every backend shard; results align with
     /// [`backend_names`](Self::backend_names).  Synchronous wrapper over a
-    /// one-spec [`submit_batch`](Self::submit_batch) — the caller blocks, so
-    /// the batcher is flushed rather than waiting out the batch deadline.
+    /// one-spec [`submit_batch`](Self::submit_batch).
     pub fn evaluate(&self, spec: &WorkloadSpec) -> Vec<Result<EvalReport, EvalError>> {
         self.submit_batch(vec![spec.clone()], BackendSelector::All, Priority::Normal)
             .wait()
@@ -759,8 +783,8 @@ fn fulfill(
     }
 }
 
-/// The micro-batcher: forms size/deadline-bounded batches and dispatches
-/// them through the cache onto the per-backend work queues.
+/// The micro-batcher: forms work-conserving batches and dispatches them
+/// through the cache onto the per-backend work queues.
 fn batcher_loop(inner: &ServiceInner, senders: Vec<mpsc::SyncSender<Vec<WorkTask>>>) {
     while let Some(batch) = collect_batch(inner) {
         if !batch.is_empty() {
@@ -770,6 +794,12 @@ fn batcher_loop(inner: &ServiceInner, senders: Vec<mpsc::SyncSender<Vec<WorkTask
 }
 
 /// Blocks for the next batch; `None` means shutdown with nothing left.
+///
+/// A batch closes when it is full, when its deadline passes, when shutdown
+/// starts, or — the work-conserving rule — as soon as some backend it
+/// targets has an idle worker.  Coalescing therefore only ever happens
+/// while every worker the batch could use is busy, and the deadline bounds
+/// that wait instead of flooring every request's latency.
 fn collect_batch(inner: &ServiceInner) -> Option<Vec<QueuedItem>> {
     let max_batch = inner.config.max_batch.max(1);
     let mut pending = inner.pending.lock().expect("pending lock");
@@ -803,19 +833,17 @@ fn collect_batch(inner: &ServiceInner) -> Option<Vec<QueuedItem>> {
             oldest + inner.config.batch_deadline
         });
         if batch.len() >= max_batch || pending.shutdown {
-            // Consume the flush hint together with the last of its items so
-            // a burst of exactly `max_batch` specs cannot leave a stale flag
-            // that would stop the *next* streamed submit from coalescing.
-            if pending.len() == 0 {
-                pending.flush = false;
-            }
             break;
         }
-        // A drained flush burst dispatches immediately: the submitter
-        // already coalesced everything it had, so waiting out the deadline
-        // would only add latency.
-        if pending.flush && pending.len() == 0 {
-            pending.flush = false;
+        // Checked under the `pending` lock, which a worker leaving a
+        // saturated pool takes to notify: its wake-up lands either before
+        // this check (and is seen here) or in the wait below.
+        let idle = batch.iter().any(|item| {
+            item.targets
+                .iter()
+                .any(|&(_, backend)| inner.loads[backend].has_idle_worker())
+        });
+        if idle {
             break;
         }
         let now = Instant::now();
@@ -959,20 +987,16 @@ fn dispatch(
                 .into_iter()
                 .map(|i| tasks[i].take().expect("each task joins one group"))
                 .collect();
+            // Counted before the send, so the receiving worker's decrement
+            // can never run first.
+            inner.loads[backend]
+                .in_flight
+                .fetch_add(1, Ordering::AcqRel);
             let _ = senders[backend].send(chunk);
         }
     }
 }
 
-/// One worker thread of a backend shard: drains work, evaluates with panic
-/// isolation, publishes through the cache.
-///
-/// Each received chunk (this worker's share of one micro-batch) goes
-/// through [`Backend::evaluate_many`] as a unit: in-process backends loop
-/// per spec (the trait default), remote backends pipeline the whole chunk
-/// as one wire exchange — so micro-batches formed by the batcher cross a
-/// process boundary intact instead of unravelling into per-spec round
-/// trips.
 /// Bound on work chunks one worker gathers into a single
 /// [`Backend::evaluate_chunks`] call, so draining a deep queue can never
 /// starve the other workers of this backend or defer the first chunk's
@@ -982,6 +1006,16 @@ fn dispatch(
 /// transport wake-up round trip.
 const MAX_COALESCED_CHUNKS: usize = 32;
 
+/// One worker thread of a backend shard: drains work, evaluates with panic
+/// isolation, publishes through the cache.
+///
+/// Each received chunk (this worker's share of one micro-batch) goes
+/// through [`Backend::evaluate_many`] as a unit: in-process backends loop
+/// per spec (the trait default), remote backends pipeline the whole chunk
+/// as one wire exchange — so micro-batches formed by the batcher cross a
+/// process boundary intact instead of unravelling into per-spec round
+/// trips.  Once the chunks are answered the worker retires them from its
+/// backend's [`WorkerLoad`].
 fn worker_loop(
     inner: &ServiceInner,
     backend_idx: usize,
@@ -1009,8 +1043,10 @@ fn worker_loop(
                 }
             }
         }
+        let received = chunks.len();
         chunks.retain(|tasks| !tasks.is_empty());
         if chunks.is_empty() {
+            finish_chunks(inner, backend_idx, received);
             continue;
         }
         // `Backend::evaluate_chunks` takes contiguous spec slices, so the
@@ -1093,6 +1129,23 @@ fn worker_loop(
                 }
             }
         }
+        finish_chunks(inner, backend_idx, received);
+    }
+}
+
+/// Retires `count` chunks a worker of `backend` has answered, waking the
+/// batcher if that frees a worker of a saturated pool.
+fn finish_chunks(inner: &ServiceInner, backend: usize, count: usize) {
+    let load = &inner.loads[backend];
+    let before = load.in_flight.fetch_sub(count, Ordering::AcqRel);
+    // The batcher only waits while every backend its batch targets is
+    // saturated, and only it raises the counts, so the one decrement that
+    // can end such a wait is the one leaving saturation.  The notify runs
+    // under the `pending` lock: the batcher checks capacity under that lock
+    // too, so the wake-up cannot fall between its check and its wait.
+    if before >= load.workers && before - count < load.workers {
+        let _pending = inner.pending.lock().expect("pending lock");
+        inner.pending_cv.notify_all();
     }
 }
 
@@ -1554,7 +1607,7 @@ mod tests {
     #[test]
     fn synchronous_bursts_skip_the_batch_deadline() {
         // With a pathologically long deadline, a lone evaluate() must still
-        // return promptly: bursts flush the batcher once the queue drains.
+        // return promptly: an idle worker takes a burst at once.
         let service = EvalService::with_config(
             Evaluator::empty().with_backend(Box::new(SquareOnly { name: "alpha" })),
             ServiceConfig {
@@ -1571,6 +1624,96 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "evaluate() waited out the batch deadline"
         );
+    }
+
+    #[test]
+    fn lone_streamed_submit_skips_the_batch_deadline() {
+        // Nothing is outstanding, so there is nothing to coalesce behind: a
+        // single submit dispatches at once instead of waiting 30 s for
+        // stragglers.
+        let service = EvalService::with_config(
+            Evaluator::empty().with_backend(Box::new(SquareOnly { name: "alpha" })),
+            ServiceConfig {
+                max_batch: 16,
+                batch_deadline: Duration::from_secs(30),
+                workers_per_backend: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let response = service
+            .submit(EvalRequest::all(WorkloadSpec::SquareGemm { n: 9 }))
+            .wait_timeout(Duration::from_secs(1))
+            .expect("a lone submit waited out the batch deadline");
+        assert!(response.results[0].1.is_ok());
+    }
+
+    /// A backend whose `SquareGemm { n: 0 }` blocks until the test opens
+    /// the gate, announcing on `entered` that it has started.
+    struct Gated {
+        open: Arc<(Mutex<bool>, std::sync::Condvar)>,
+        entered: Mutex<mpsc::Sender<()>>,
+    }
+
+    impl Backend for Gated {
+        fn name(&self) -> &str {
+            "gated"
+        }
+        fn supports(&self, w: &WorkloadSpec) -> bool {
+            matches!(w, WorkloadSpec::SquareGemm { .. })
+        }
+        fn evaluate(&self, w: &WorkloadSpec) -> Result<EvalReport, EvalError> {
+            if *w == (WorkloadSpec::SquareGemm { n: 0 }) {
+                let _ = self.entered.lock().expect("entered lock").send(());
+                let (open, cv) = &*self.open;
+                let _open = cv
+                    .wait_timeout_while(
+                        open.lock().expect("gate lock"),
+                        Duration::from_secs(30),
+                        |open| !*open,
+                    )
+                    .expect("gate lock");
+            }
+            Ok(EvalReport::new("gated", w.name()))
+        }
+    }
+
+    #[test]
+    fn submits_coalesce_while_every_worker_is_busy() {
+        let open = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let (entered_tx, entered) = mpsc::channel();
+        let service = EvalService::with_config(
+            Evaluator::empty().with_backend(Box::new(Gated {
+                open: Arc::clone(&open),
+                entered: Mutex::new(entered_tx),
+            })),
+            ServiceConfig {
+                max_batch: 16,
+                batch_deadline: Duration::from_secs(30),
+                workers_per_backend: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        // The first submit finds the lone worker idle and occupies it.
+        let blocker = service.submit(EvalRequest::all(WorkloadSpec::SquareGemm { n: 0 }));
+        entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the first submit reached the backend");
+        // Every worker is busy now, so these are held and coalesce...
+        let held: Vec<ResponseHandle> = (1..=3)
+            .map(|n| service.submit(EvalRequest::all(WorkloadSpec::SquareGemm { n })))
+            .collect();
+        // ...until the worker frees up, when they dispatch as one batch.
+        *open.0.lock().expect("gate lock") = true;
+        open.1.notify_all();
+        for handle in std::iter::once(blocker).chain(held) {
+            let response = handle
+                .wait_timeout(Duration::from_secs(10))
+                .expect("a freed worker must wake the batcher");
+            assert!(response.results[0].1.is_ok());
+        }
+        let stats = service.stats();
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.batched_requests, 4);
     }
 
     #[test]

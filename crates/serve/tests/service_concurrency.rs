@@ -1,7 +1,8 @@
 //! Concurrency guarantees of the evaluation service.
 //!
 //! * Every accepted request is answered exactly once, under seeded
-//!   multi-producer stress with mixed priorities and selectors.
+//!   multi-producer stress with mixed priorities and selectors — also with
+//!   a batch deadline too long to mask a lost worker→batcher wake-up.
 //! * Cache-deduplicated requests return byte-identical reports (pinned via
 //!   the JSON emitter, not just `PartialEq`).
 //! * A poisoned (panicking) or erroring backend fails only requests that
@@ -94,32 +95,88 @@ fn lcg(state: &mut u64) -> u64 {
     *state
 }
 
+/// [`SquareOnly`] with a fixed service time per evaluation.
+struct Paced(SquareOnly, Duration);
+
+impl Backend for Paced {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn supports(&self, w: &WorkloadSpec) -> bool {
+        self.0.supports(w)
+    }
+    fn evaluate(&self, w: &WorkloadSpec) -> Result<EvalReport, EvalError> {
+        std::thread::sleep(self.1);
+        self.0.evaluate(w)
+    }
+}
+
+/// One configuration of [`exactly_once_under_stress`].
+struct Stress {
+    batch_deadline: Duration,
+    workers_per_backend: usize,
+    /// Service time of every evaluation.
+    pace: Duration,
+    /// Distinct spec sizes drawn; few sizes mean heavy deduplication.
+    sizes: usize,
+    /// Bound on each request's answer.
+    answer_within: Duration,
+}
+
 #[test]
 fn every_request_gets_exactly_one_response() {
+    exactly_once_under_stress(Stress {
+        batch_deadline: Duration::from_millis(1),
+        workers_per_backend: 2,
+        pace: Duration::ZERO,
+        sizes: 16,
+        answer_within: STRESS_TIMEOUT,
+    });
+}
+
+#[test]
+fn every_request_gets_exactly_one_response_without_the_deadline() {
+    // A 30 s deadline never fires within the answer bound, so every batch
+    // held behind busy workers (one per backend, paced, and mostly missing
+    // the cache, to stay busy) must be released by a worker's wake-up: a
+    // lost one times out here instead of hiding behind a 1 ms deadline.
+    exactly_once_under_stress(Stress {
+        batch_deadline: Duration::from_secs(30),
+        workers_per_backend: 1,
+        pace: Duration::from_micros(500),
+        sizes: 4096,
+        answer_within: Duration::from_secs(10),
+    });
+}
+
+/// Seeded multi-producer stress with mixed priorities and selectors; every
+/// request must be answered exactly once within `answer_within`.
+fn exactly_once_under_stress(stress: Stress) {
+    let backend = |name| Box::new(Paced(SquareOnly { name }, stress.pace));
     let service = Arc::new(EvalService::with_config(
         Evaluator::empty()
-            .with_backend(Box::new(SquareOnly { name: "alpha" }))
-            .with_backend(Box::new(SquareOnly { name: "beta" }))
-            .with_backend(Box::new(SquareOnly { name: "gamma" })),
+            .with_backend(backend("alpha"))
+            .with_backend(backend("beta"))
+            .with_backend(backend("gamma")),
         ServiceConfig {
             max_batch: 8,
-            batch_deadline: Duration::from_millis(1),
-            workers_per_backend: 2,
+            batch_deadline: stress.batch_deadline,
+            workers_per_backend: stress.workers_per_backend,
             ..ServiceConfig::default()
         },
     ));
     let producers = 8usize;
     let per_producer = 50usize;
+    let (sizes, answer_within) = (stress.sizes as u64, stress.answer_within);
     let mut joins = Vec::new();
     for producer in 0..producers {
         let service = Arc::clone(&service);
         joins.push(std::thread::spawn(move || {
             let mut rng = 0x5eed ^ (producer as u64) << 32;
-            let mut answered = 0usize;
+            let (mut answered, mut backend_slots) = (0usize, 0u64);
             for _ in 0..per_producer {
-                // Mixed specs (16 distinct sizes → heavy dedup), selectors
-                // and priorities.
-                let n = (lcg(&mut rng) % 16 + 1) as usize;
+                // Mixed specs, selectors and priorities.
+                let n = (lcg(&mut rng) % sizes + 1) as usize;
                 let selector = match lcg(&mut rng) % 3 {
                     0 => BackendSelector::All,
                     1 => BackendSelector::Named(vec!["beta".to_string()]),
@@ -129,10 +186,14 @@ fn every_request_gets_exactly_one_response() {
                         "nonexistent".to_string(),
                     ]),
                 };
-                let expected_entries = match &selector {
-                    BackendSelector::All => 3,
-                    BackendSelector::Named(names) => names.len(),
+                let (expected_entries, registered) = match &selector {
+                    BackendSelector::All => (3, 3),
+                    BackendSelector::Named(names) => (
+                        names.len(),
+                        names.iter().filter(|n| *n != "nonexistent").count(),
+                    ),
                 };
+                backend_slots += registered as u64;
                 let priority = match lcg(&mut rng) % 3 {
                     0 => Priority::High,
                     1 => Priority::Normal,
@@ -144,26 +205,39 @@ fn every_request_gets_exactly_one_response() {
                     priority,
                 });
                 let response = handle
-                    .wait_timeout(STRESS_TIMEOUT)
-                    .expect("request timed out: worker pool deadlock?");
+                    .wait_timeout(answer_within)
+                    .expect("request timed out: worker pool deadlock or lost wake-up?");
                 assert_eq!(response.results.len(), expected_entries);
                 // Exactly one response per handle: a second receive finds
                 // nothing.
                 assert!(handle.wait_timeout(Duration::from_millis(1)).is_none());
                 answered += 1;
             }
-            answered
+            (answered, backend_slots)
         }));
     }
-    let answered: usize = joins.into_iter().map(|j| j.join().expect("producer")).sum();
+    let (mut answered, mut backend_slots) = (0, 0);
+    for join in joins {
+        let (a, s) = join.join().expect("producer");
+        answered += a;
+        backend_slots += s;
+    }
     assert_eq!(answered, producers * per_producer);
     let stats = service.stats();
     assert_eq!(stats.submitted, (producers * per_producer) as u64);
     assert_eq!(stats.completed, stats.submitted);
-    // 16 distinct sizes across 3 backends bound the distinct evaluations.
-    assert!(stats.evaluations <= 16 * 3, "cache failed to deduplicate");
+    // Every slot on a registered backend was a hit, a merge or one miss.
+    assert_eq!(
+        stats.cache_hits + stats.inflight_merged + stats.cache_misses,
+        backend_slots
+    );
+    assert_eq!(stats.evaluations, stats.cache_misses);
+    // The distinct sizes across 3 backends bound the distinct evaluations.
+    assert!(
+        stats.evaluations <= sizes * 3,
+        "cache failed to deduplicate"
+    );
     assert_eq!(stats.eval_errors, 0);
-    assert!(stats.cache_hits + stats.inflight_merged > 0);
 }
 
 #[test]
