@@ -765,8 +765,9 @@ mod tests {
         // Construct a packet order in which the fetch unit must deliver a
         // long producer sequence before the consumer's first uOP.  With a
         // tiny FU uOP FIFO and a tiny decoder FIFO the fetch stalls before
-        // the consumer ever learns it should drain, which deadlocks; with
-        // the default depth of six the same program completes.
+        // the consumer ever learns it should drain, which deadlocks at
+        // depths 1–2; from depth 3 up to the default of six the same
+        // program completes.
         fn build(depth: usize, kind: SchedulerKind) -> Result<RunReport, RsnError> {
             let mut b = DatapathBuilder::new();
             let s1 = b.add_stream("s1", 1);
@@ -791,7 +792,19 @@ mod tests {
             engine.load_packets_with_fifo_depth(packets, depth);
             engine.run()
         }
-        assert!(build(6, SchedulerKind::RoundRobin).is_ok());
-        assert!(build(6, SchedulerKind::EventDriven).is_ok());
+        for kind in [SchedulerKind::RoundRobin, SchedulerKind::EventDriven] {
+            for depth in 1..=2 {
+                match build(depth, kind) {
+                    Err(RsnError::Deadlock { blocked, .. }) => {
+                        assert_eq!(blocked, ["FU2", "FU3"], "{kind:?} depth {depth}")
+                    }
+                    other => panic!("{kind:?} depth {depth}: expected a deadlock, got {other:?}"),
+                }
+            }
+            for depth in 3..=6 {
+                let run = build(depth, kind);
+                assert!(run.is_ok(), "{kind:?} depth {depth}: {run:?}");
+            }
+        }
     }
 }

@@ -34,16 +34,16 @@ const USAGE: &str = "usage: shardd [--topology FILE] [--listen ADDR] [--backends
                      --cache-capacity N   bound the report cache to N completed entries\n\
                      --encoding POLICY    answer encoding: auto mirrors each request (default),\n\
                      \x20                    json forces readable frames for debugging, binary\n\
-                     \x20                    forces the compact codec (v3-only clients), and\n\
-                     \x20                    binary_nodict forces the v7 symbol dictionaries off\n\
+                     \x20                    forces the compact codec even for JSON requests,\n\
+                     \x20                    and binary_nodict forces the symbol dictionaries off\n\
                      --transport POLICY   shared-memory ring offers: auto offers one to\n\
                      \x20                    loopback peers (default), socket never offers,\n\
                      \x20                    shm offers to every peer (same-host fleets behind\n\
                      \x20                    a non-loopback address)\n\
                      --frontend POLICY    connection front end: threads serves each connection\n\
                      \x20                    from a blocking thread (default), reactor serves\n\
-                     \x20                    them all from one event loop (protocol-5\n\
-                     \x20                    multiplexing; never offers shm rings)\n";
+                     \x20                    them all from one event loop (multiplexing;\n\
+                     \x20                    never offers shm rings)\n";
 
 fn fail(message: &str) -> ! {
     eprintln!("shardd: {message}");

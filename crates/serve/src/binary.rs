@@ -1,4 +1,4 @@
-//! The compact binary wire codec (protocol version 3).
+//! The compact binary wire codec.
 //!
 //! The JSON wire format is self-describing and diffable, but building a
 //! pretty-printed `String` per frame — one allocation per key, a full
@@ -13,9 +13,8 @@
 //! # Layout
 //!
 //! A binary payload starts with [`MAGIC`] (`0xB3`) — a byte no JSON
-//! document of ours can start with, so receivers dispatch per frame and
-//! mixed-encoding fleets interoperate (see [`crate::wire`] for the
-//! negotiation rules).  After the magic byte:
+//! document of ours can start with, so receivers dispatch per frame (see
+//! [`crate::wire`] for when each encoding is used).  After the magic byte:
 //!
 //! ```text
 //! magic  tag  varint(id)  body…
@@ -249,8 +248,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Bytes left after the current position (used by decoders that accept
-    /// optional trailing fields from newer peers).
+    /// Bytes left after the current position.
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -336,17 +334,16 @@ fn with_interner<T>(f: impl FnOnce(&mut Interner) -> T) -> T {
 }
 
 // ---------------------------------------------------------------------------
-// Per-connection symbol dictionaries (protocol 7)
+// Per-connection symbol dictionaries
 // ---------------------------------------------------------------------------
 
-/// First byte of a dictionary-encoded binary payload (protocol 7).  Like
-/// [`MAGIC`], no JSON document can start with it, so receivers still
-/// dispatch per frame — but unlike plain binary frames, a dictionary frame
-/// reads and writes *connection state*: the per-direction symbol tables
-/// that resolve label ids.  Frames with this magic may only appear on a
-/// connection whose hello negotiated protocol ≥ 7, and the two magics may
-/// interleave freely on such a connection (plain frames never touch the
-/// tables).
+/// First byte of a dictionary-encoded binary payload.  Like [`MAGIC`], no
+/// JSON document can start with it, so receivers still dispatch per frame
+/// — but unlike plain binary frames, a dictionary frame reads and writes
+/// *connection state*: the per-direction symbol tables that resolve label
+/// ids.  Frames with this magic may only appear on a
+/// connection whose hello succeeded, and the two magics may interleave
+/// freely on such a connection (plain frames never touch the tables).
 pub const DICT_MAGIC: u8 = 0xB7;
 
 /// Upper bound on symbols per direction per connection.  Once a table is
@@ -373,7 +370,7 @@ const DSTR_REF_BASE: u64 = 2;
 /// The FNV-keyed probe happens once per label *occurrence on the encode
 /// side only*; the decode side resolves references by direct vector index
 /// with no hashing at all — that, plus the absent string bytes, is the
-/// protocol-7 saving.
+/// dictionary saving.
 #[derive(Debug, Default)]
 pub struct TxSymbols {
     ids: HashMap<Arc<str>, u32, FnvBuild>,
@@ -515,7 +512,7 @@ impl ConnCodec {
     }
 }
 
-// Report presence bitmap (protocol 7): one leading varint replaces the
+// Report presence bitmap: one leading varint replaces the
 // three per-`Option` tag bytes, the cycle presence bool, the nested
 // `max_abs_error` option tag, and lets empty sections cost nothing — the
 // common analytic-report shape encodes its fixed scalars back-to-back.
@@ -704,7 +701,7 @@ fn read_report_dict(r: &mut Reader<'_>, rx: &mut RxSymbols) -> Result<EvalReport
 }
 
 /// Appends one domain result in dictionary form (`0` = report, `1` =
-/// error).  Errors keep the plain v6 field encoding — they are the cold
+/// error).  Errors keep the plain field encoding — they are the cold
 /// path, and their free-text payloads are poor dictionary citizens.
 pub fn encode_result_dict(
     out: &mut Vec<u8>,
@@ -1285,9 +1282,8 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
     put_usize(out, stats.remote_pools.len());
     for pool in &stats.remote_pools {
         put_str(out, &pool.addr);
-        // Pool records are extensible: a varint field count precedes the
-        // counter varints, so a decoder reads the fields it knows, skips
-        // any it does not, and zero-fills the rest.  New counters append.
+        // A varint field count precedes the counter varints; decoders
+        // reject any count but [`POOL_FIELD_COUNT`].
         put_usize(out, POOL_FIELD_COUNT);
         put_varint(out, pool.checkouts);
         put_varint(out, pool.reused);
@@ -1310,12 +1306,8 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
         put_varint(out, pool.dict_defines);
         put_varint(out, pool.dict_hits);
     }
-    // Trailing-optional per-class latency section, appended since v6.  It
-    // is emitted only when populated: pre-v6 decoders `finish()` after the
-    // pool records and would reject appended bytes, so servers clear
-    // `classes` before answering a peer whose hello said < v6 (see the
-    // front ends), and the resulting empty image is byte-identical to v5's.
-    // Decoding the other way, a missing section reads as "no classes".
+    // The per-class latency section is omitted when empty; decoders read a
+    // payload that ends after the pool records as "no classes".
     if stats.classes.is_empty() {
         return;
     }
@@ -1334,9 +1326,8 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
     }
 }
 
-/// Counter varints per pool record in this build's encoding (the record's
-/// field-count prefix).  18 → 20 in v7: the two symbol-dictionary counters
-/// append, and older peers' records zero-fill them leniently.
+/// Counter varints per pool record (the record's field-count prefix).  A
+/// record with any other count is a decode error.
 const POOL_FIELD_COUNT: usize = 20;
 
 fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
@@ -1362,14 +1353,15 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
     }
     for _ in 0..r.len()? {
         let addr = r.str()?;
-        // Lenient record decode: a shorter count (older peer) zero-fills
-        // the missing counters, a longer one (newer peer) skips the extras.
+        let count = r.len()?;
+        if count != POOL_FIELD_COUNT {
+            return Err(r.error(format!(
+                "pool record has {count} fields, expected {POOL_FIELD_COUNT}"
+            )));
+        }
         let mut fields = [0u64; POOL_FIELD_COUNT];
-        for index in 0..r.len()? {
-            let value = r.varint()?;
-            if let Some(slot) = fields.get_mut(index) {
-                *slot = value;
-            }
+        for slot in &mut fields {
+            *slot = r.varint()?;
         }
         stats.remote_pools.push(PoolStats {
             addr,
@@ -1395,7 +1387,7 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
             dict_hits: fields[19],
         });
     }
-    // Trailing-optional: a v1–v5 peer's image simply ends here.
+    // The per-class section is omitted when empty (see `encode_stats`).
     if r.remaining() > 0 {
         for _ in 0..r.len()? {
             let spelling = r.str()?;
@@ -1443,11 +1435,6 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &ShardRequest) {
         ShardRequest::Hello { protocol } => {
             out.push(TAG_HELLO);
             put_varint(out, id);
-            // Trailing optional client version, appended since v5 — pre-v5
-            // decoders call `finish()` after the id and would reject the
-            // extra varint, but clients always hello in JSON (where unknown
-            // keys are ignored), so the binary image only ever reaches
-            // peers that read it.
             put_varint(out, *protocol);
         }
         ShardRequest::Supports { backend, spec } => {
@@ -1492,13 +1479,9 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, ShardRequest), DecodeError> 
     let tag = r.byte()?;
     let id = r.varint()?;
     let request = match tag {
-        TAG_HELLO => {
-            // The client version varint arrived in v5; a payload ending
-            // right after the id is an older client speaking version 1
-            // semantics (no multiplexing, strict FIFO).
-            let protocol = if r.remaining() > 0 { r.varint()? } else { 1 };
-            ShardRequest::Hello { protocol }
-        }
+        TAG_HELLO => ShardRequest::Hello {
+            protocol: r.varint()?,
+        },
         TAG_SUPPORTS => ShardRequest::Supports {
             backend: r.str()?,
             spec: read_spec(&mut r)?,
@@ -1544,17 +1527,13 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, response: &ShardResponse) {
                 put_str(out, name);
             }
             put_varint(out, *protocol);
-            // Trailing optional ring path, appended only when offered —
-            // decoders treat end-of-payload here as "no ring" so pre-v4
-            // images stay decodable.
+            // Both offers are a presence byte, then the value.
             if let Some(path) = ring {
                 out.push(1);
                 put_str(out, path);
             } else {
                 out.push(0);
             }
-            // Trailing optional credit window (v5), after the ring bytes;
-            // decoders treat end-of-payload here as "no multiplexing".
             if let Some(credits) = window {
                 out.push(1);
                 put_varint(out, *credits);
@@ -1609,27 +1588,15 @@ pub fn decode_response(bytes: &[u8]) -> Result<(u64, ShardResponse), DecodeError
                 names.push(r.str()?);
             }
             let protocol = r.varint()?;
-            // The ring field arrived in v4; a payload ending right after
-            // the protocol varint is an older image with no ring offer.
-            let ring = if r.remaining() == 0 {
-                None
-            } else {
-                match r.byte()? {
-                    0 => None,
-                    1 => Some(r.str()?),
-                    other => return Err(r.error(format!("invalid ring tag {other:#04x}"))),
-                }
+            let ring = match r.byte()? {
+                0 => None,
+                1 => Some(r.str()?),
+                other => return Err(r.error(format!("invalid ring tag {other:#04x}"))),
             };
-            // The window field arrived in v5; a payload ending after the
-            // ring bytes is a v4 image with no multiplexing offer.
-            let window = if r.remaining() == 0 {
-                None
-            } else {
-                match r.byte()? {
-                    0 => None,
-                    1 => Some(r.varint()?),
-                    other => return Err(r.error(format!("invalid window tag {other:#04x}"))),
-                }
+            let window = match r.byte()? {
+                0 => None,
+                1 => Some(r.varint()?),
+                other => return Err(r.error(format!("invalid window tag {other:#04x}"))),
             };
             ShardResponse::Backends {
                 names,
@@ -1698,22 +1665,69 @@ mod tests {
 
     #[test]
     fn truncated_payloads_decode_to_errors_not_panics() {
-        let mut out = Vec::new();
+        let mut request = Vec::new();
         encode_request(
-            &mut out,
+            &mut request,
             9,
             &ShardRequest::Evaluate {
                 backend: "rsn-xnn".to_string(),
                 spec: WorkloadSpec::SquareGemm { n: 4096 },
             },
         );
-        for cut in 0..out.len() {
-            assert!(
-                decode_request(&out[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
+        let mut hello = Vec::new();
+        encode_request(&mut hello, 9, &ShardRequest::Hello { protocol: 7 });
+        for image in [&request, &hello] {
+            for cut in 0..image.len() {
+                assert!(
+                    decode_request(&image[..cut]).is_err(),
+                    "truncation at {cut} of {image:?} must fail"
+                );
+            }
+            assert!(decode_request(image).is_ok());
         }
-        assert!(decode_request(&out).is_ok());
+        // Every field of a hello answer is required, offers included.
+        for (ring, window) in [(None, None), (Some("/dev/shm/rsn-ring-0"), Some(32))] {
+            let mut backends = Vec::new();
+            encode_response(
+                &mut backends,
+                9,
+                &ShardResponse::Backends {
+                    names: vec!["rsn-xnn".to_string()],
+                    protocol: 7,
+                    ring: ring.map(str::to_string),
+                    window,
+                },
+            );
+            for cut in 0..backends.len() {
+                assert!(
+                    decode_response(&backends[..cut]).is_err(),
+                    "truncation at {cut} of {backends:?} must fail"
+                );
+            }
+            assert!(decode_response(&backends).is_ok());
+        }
+    }
+
+    #[test]
+    fn pool_records_of_another_field_count_are_rejected() {
+        let stats = ServiceStats {
+            remote_pools: vec![PoolStats {
+                addr: "127.0.0.1:1".to_string(),
+                ..PoolStats::default()
+            }],
+            ..ServiceStats::default()
+        };
+        let mut image = Vec::new();
+        encode_stats(&mut image, &stats);
+        assert_eq!(decode_stats(&image).expect("decodes"), stats);
+        // An 18-field record: the count byte drops by two, and so do the
+        // trailing counters (every counter is zero, one byte each).
+        let count_at = image.len() - POOL_FIELD_COUNT - 1;
+        assert_eq!(image[count_at], POOL_FIELD_COUNT as u8);
+        image[count_at] = 18;
+        image.truncate(image.len() - 2);
+        let err = decode_stats(&image).expect_err("short record must fail");
+        assert!(err.message.contains("18 fields"), "{err}");
     }
 
     #[test]

@@ -6,30 +6,28 @@ use std::time::Duration;
 /// the negotiation rules in [`crate::wire`]).
 ///
 /// On the client side this decides what a connection pool *sends*: `Auto`
-/// sends JSON until the hello handshake has learned the shard speaks
-/// protocol ≥ 3, then switches to binary.  On the server side it decides
-/// what a shard *answers with*: `Auto` mirrors each request's encoding (so
-/// old JSON clients keep working), `Json` forces readable frames for
-/// debugging (`shardd --encoding json`, or the topology's `encoding`
-/// knob), and `Binary` forces the compact codec even for JSON requests —
-/// only useful when every client is known to be version ≥ 3.
-/// `BinaryNodict` is `Binary` with the protocol-7 symbol dictionaries
-/// forced off: frames stay stateless plain binary even against v7 peers,
-/// for debugging dictionary suspicion and for the bench's v7-vs-v6
+/// sends its hello in JSON and switches to dictionary binary once the
+/// handshake succeeds.  On the server side it decides what a shard
+/// *answers with*: `Auto` mirrors each request's encoding (so JSON clients
+/// get JSON), `Json` forces readable frames for debugging (`shardd
+/// --encoding json`, or the topology's `encoding` knob), and `Binary`
+/// forces the compact codec even for JSON requests — only safe when no
+/// client runs the `json` policy.  `BinaryNodict` is `Binary` with the
+/// symbol dictionaries forced off: frames stay stateless plain binary, for
+/// debugging dictionary suspicion and for the bench's dictionary-vs-plain
 /// same-run comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EncodingPolicy {
-    /// Negotiate per peer: dictionary binary with v7 peers, plain binary
-    /// with v3–v6 peers, JSON otherwise.
+    /// JSON hello, then dictionary binary (client); mirror each request's
+    /// encoding (server).
     #[default]
     Auto,
     /// Always JSON (the debugging / archaeology setting).
     Json,
-    /// Binary, with dictionaries where the peer negotiates v7 (requires
-    /// every peer to speak protocol ≥ 3).
+    /// Binary, with dictionaries once the handshake has succeeded.
     Binary,
     /// Binary with symbol dictionaries forced off — every frame is the
-    /// stateless plain image, even against v7 peers.
+    /// stateless plain image.
     BinaryNodict,
 }
 
@@ -116,7 +114,7 @@ impl std::fmt::Display for TransportPolicy {
 /// `Threads` is the classic one-blocking-thread-per-connection front end:
 /// simple, debuggable, strictly FIFO per connection.  `Reactor` serves
 /// every connection from one nonblocking event-loop thread, which unlocks
-/// the protocol-5 features — out-of-order completion, cancellation, a
+/// multiplexing — out-of-order completion, cancellation, a
 /// per-connection credit window — and scales to thousands of idle
 /// connections without a thread each.  The reactor never offers
 /// shared-memory rings (same-host deployments wanting rings should stay on
@@ -233,8 +231,8 @@ pub struct RemoteConfig {
     /// when a reaped connection is found dead at checkout.
     pub server_idle_timeout: Duration,
     /// Which wire encoding to speak (client: what pools send; server: what
-    /// shards answer with).  The default `Auto` negotiates binary with v3
-    /// peers and falls back to JSON against older ones.
+    /// shards answer with).  The default `Auto` switches a client to
+    /// binary after its hello, and has a shard mirror each request.
     pub encoding: EncodingPolicy,
     /// Which transport to ride (client: whether pools accept a shard's
     /// ring offer; server: whether shards make one).  The default `Auto`
@@ -243,7 +241,7 @@ pub struct RemoteConfig {
     pub transport: TransportPolicy,
     /// How a shard server drives its connections: blocking
     /// thread-per-connection, or the nonblocking reactor event loop that
-    /// enables protocol-5 multiplexing.  Client pools ignore this knob —
+    /// enables multiplexing.  Client pools ignore this knob —
     /// they follow the server's hello (a shard that advertises a credit
     /// window gets a multiplexed connection).
     pub frontend: FrontendPolicy,

@@ -21,7 +21,7 @@
 //!   [`observed_exchange_p95`](crate::ConnectionPool::observed_exchange_p95)),
 //!   the same exchange is re-issued against the next sibling and the
 //!   first answer wins (`hedges_launched`/`hedges_won`).  The loser is
-//!   abandoned: on a multiplexed (protocol ≥ 5) connection its budget
+//!   abandoned: on a multiplexed (windowed) connection its budget
 //!   expiry sends the `Cancel` frame, so the losing shard stops working
 //!   on it rather than finishing into the void.
 //! * **Circuit breaking** — each replica keeps a rolling window of
@@ -325,8 +325,8 @@ impl FleetState {
 type AttemptResult = Result<Vec<SharedResult>, WireError>;
 
 /// Runs `specs` against one replica as a single exchange (an
-/// `evaluate_batch` where the shard's protocol allows, per-spec
-/// `evaluate` exchanges otherwise) and feeds the breaker.
+/// `evaluate_batch`, or an `evaluate` for a lone spec) and feeds the
+/// breaker.
 fn attempt(
     replica: &Replica,
     cfg: &BreakerConfig,
@@ -339,47 +339,38 @@ fn attempt(
 }
 
 fn attempt_raw(pool: &ConnectionPool, backend: &str, specs: &[WorkloadSpec]) -> AttemptResult {
-    if pool.protocol().is_none() {
-        // Fleet pools are built without a construction-time handshake (a
-        // dead replica must not abort assembly); negotiate on first use
-        // and let the exchange below surface any transport error.
-        let _ = pool.hello();
-    }
-    if specs.len() >= 2 && pool.supports_batch() {
-        match pool.exchange(&ShardRequest::EvaluateBatch {
+    // Fleet pools are built without a construction-time handshake (a dead
+    // replica must not abort assembly); negotiate on first use.
+    pool.ensure_hello()?;
+    if let [spec] = specs {
+        return match pool.exchange(&ShardRequest::Evaluate {
             backend: backend.to_string(),
-            specs: specs.to_vec(),
+            spec: spec.clone(),
         })? {
-            ShardResponse::EvaluatedBatch(results) if results.len() == specs.len() => {
-                pool.count_pipelined(specs.len());
-                Ok(results)
-            }
-            ShardResponse::EvaluatedBatch(results) => Err(WireError::Rejected(format!(
-                "{} results for a {}-spec batch",
-                results.len(),
-                specs.len()
-            ))),
+            ShardResponse::Evaluated(result) => Ok(vec![result]),
             ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
             _ => Err(WireError::Rejected(
-                "unexpected payload answering evaluate_batch".to_string(),
+                "unexpected payload answering evaluate".to_string(),
             )),
+        };
+    }
+    match pool.exchange(&ShardRequest::EvaluateBatch {
+        backend: backend.to_string(),
+        specs: specs.to_vec(),
+    })? {
+        ShardResponse::EvaluatedBatch(results) if results.len() == specs.len() => {
+            pool.count_pipelined(specs.len());
+            Ok(results)
         }
-    } else {
-        specs
-            .iter()
-            .map(|spec| {
-                match pool.exchange(&ShardRequest::Evaluate {
-                    backend: backend.to_string(),
-                    spec: spec.clone(),
-                })? {
-                    ShardResponse::Evaluated(result) => Ok(result),
-                    ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
-                    _ => Err(WireError::Rejected(
-                        "unexpected payload answering evaluate".to_string(),
-                    )),
-                }
-            })
-            .collect()
+        ShardResponse::EvaluatedBatch(results) => Err(WireError::Rejected(format!(
+            "{} results for a {}-spec batch",
+            results.len(),
+            specs.len()
+        ))),
+        ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
+        _ => Err(WireError::Rejected(
+            "unexpected payload answering evaluate_batch".to_string(),
+        )),
     }
 }
 
@@ -425,7 +416,7 @@ fn run(state: &FleetState, specs: &[WorkloadSpec]) -> Result<Vec<SharedResult>, 
     // it outlives the budget, and fails over to unlaunched siblings as
     // attempts error out.  Abandoned attempts (the hedge race's loser)
     // keep their `Arc<Replica>` alive until their own exchange budget
-    // expires — on a multiplexed connection that expiry sends the v5
+    // expires — on a multiplexed connection that expiry sends the
     // `Cancel` frame, so the losing shard stops computing the answer.
     let (tx, rx) = mpsc::channel::<(usize, AttemptResult)>();
     let spawn_attempt = |idx: usize| {

@@ -1250,37 +1250,31 @@ pub fn stats_from_json(value: &JsonValue) -> Result<ServiceStats, DecodeError> {
     const CTX: &str = "ServiceStats";
     let int_field =
         |key: &str| -> Result<u64, DecodeError> { expect_u64(field(value, key, CTX)?, CTX) };
-    // Pre-v6 peers predate per-class latency accounting; a missing field
-    // decodes as "no classes", matching the binary codec's trailing
-    // section.
-    let classes = match value.get("classes") {
-        None => Vec::new(),
-        Some(classes) => expect_arr(classes, CTX)?
-            .iter()
-            .map(|class| {
-                let spelling = expect_str(field(class, "class", CTX)?, CTX)?;
-                let priority = Priority::parse(spelling).ok_or_else(|| {
-                    DecodeError::new(CTX, format!("unknown priority class `{spelling}`"))
-                })?;
-                let latency = field(class, "latency", CTX)?;
-                let buckets = expect_arr(field(latency, "buckets", CTX)?, CTX)?
-                    .iter()
-                    .map(|b| expect_u64(b, CTX))
-                    .collect::<Result<Vec<_>, DecodeError>>()?;
-                Ok(ClassStats {
-                    priority,
-                    latency: LatencyHistogram::from_parts(
-                        buckets,
-                        expect_u64(field(latency, "count", CTX)?, CTX)?,
-                        expect_u64(field(latency, "sum_us", CTX)?, CTX)?,
-                        expect_u64(field(latency, "max_us", CTX)?, CTX)?,
-                    ),
-                    shed_deadline: expect_u64(field(class, "shed_deadline", CTX)?, CTX)?,
-                    shed_queue: expect_u64(field(class, "shed_queue", CTX)?, CTX)?,
-                })
+    let classes = expect_arr(field(value, "classes", CTX)?, CTX)?
+        .iter()
+        .map(|class| {
+            let spelling = expect_str(field(class, "class", CTX)?, CTX)?;
+            let priority = Priority::parse(spelling).ok_or_else(|| {
+                DecodeError::new(CTX, format!("unknown priority class `{spelling}`"))
+            })?;
+            let latency = field(class, "latency", CTX)?;
+            let buckets = expect_arr(field(latency, "buckets", CTX)?, CTX)?
+                .iter()
+                .map(|b| expect_u64(b, CTX))
+                .collect::<Result<Vec<_>, DecodeError>>()?;
+            Ok(ClassStats {
+                priority,
+                latency: LatencyHistogram::from_parts(
+                    buckets,
+                    expect_u64(field(latency, "count", CTX)?, CTX)?,
+                    expect_u64(field(latency, "sum_us", CTX)?, CTX)?,
+                    expect_u64(field(latency, "max_us", CTX)?, CTX)?,
+                ),
+                shed_deadline: expect_u64(field(class, "shed_deadline", CTX)?, CTX)?,
+                shed_queue: expect_u64(field(class, "shed_queue", CTX)?, CTX)?,
             })
-            .collect::<Result<Vec<_>, DecodeError>>()?,
-    };
+        })
+        .collect::<Result<Vec<_>, DecodeError>>()?;
     let per_shard = expect_arr(field(value, "per_shard", CTX)?, CTX)?
         .iter()
         .map(|shard| {
@@ -1291,56 +1285,36 @@ pub fn stats_from_json(value: &JsonValue) -> Result<ServiceStats, DecodeError> {
             })
         })
         .collect::<Result<Vec<_>, DecodeError>>()?;
-    // Version-1 shards predate the pool counters; a missing field decodes
-    // as "no pools" so mixed-version stats exchanges keep working.
-    let remote_pools = match value.get("remote_pools") {
-        None => Vec::new(),
-        Some(pools) => expect_arr(pools, CTX)?
-            .iter()
-            .map(|pool| {
-                let pool_int = |key: &str| -> Result<u64, DecodeError> {
-                    expect_u64(field(pool, key, CTX)?, CTX)
-                };
-                // Version-2 peers predate the byte counters; a missing
-                // field decodes as zero.
-                let pool_int_opt = |key: &str| -> Result<u64, DecodeError> {
-                    match pool.get(key) {
-                        None => Ok(0),
-                        Some(v) => expect_u64(v, CTX),
-                    }
-                };
-                Ok(PoolStats {
-                    addr: expect_str(field(pool, "addr", CTX)?, CTX)?.to_string(),
-                    checkouts: pool_int("checkouts")?,
-                    reused: pool_int("reused")?,
-                    dials: pool_int("dials")?,
-                    redials: pool_int("redials")?,
-                    discarded: pool_int("discarded")?,
-                    pipelined_batches: pool_int("pipelined_batches")?,
-                    pipelined_specs: pool_int("pipelined_specs")?,
-                    bytes_sent: pool_int_opt("bytes_sent")?,
-                    bytes_received: pool_int_opt("bytes_received")?,
-                    // Version-3 peers predate the coalescing and ring
-                    // counters.
-                    frames_coalesced: pool_int_opt("frames_coalesced")?,
-                    ring_exchanges: pool_int_opt("ring_exchanges")?,
-                    // Version-4 peers predate the reactor counters.
-                    reactor_wakeups: pool_int_opt("reactor_wakeups")?,
-                    inflight_per_conn: pool_int_opt("inflight_per_conn")?,
-                    // Peers predating the fleet layer (replication,
-                    // hedging, circuit breaking) lack these counters.
-                    hedges_launched: pool_int_opt("hedges_launched")?,
-                    hedges_won: pool_int_opt("hedges_won")?,
-                    failovers: pool_int_opt("failovers")?,
-                    breaker_trips: pool_int_opt("breaker_trips")?,
-                    breaker_fast_fails: pool_int_opt("breaker_fast_fails")?,
-                    // Pre-v7 peers predate the symbol-dictionary counters.
-                    dict_defines: pool_int_opt("dict_defines")?,
-                    dict_hits: pool_int_opt("dict_hits")?,
-                })
+    let remote_pools = expect_arr(field(value, "remote_pools", CTX)?, CTX)?
+        .iter()
+        .map(|pool| {
+            let pool_int =
+                |key: &str| -> Result<u64, DecodeError> { expect_u64(field(pool, key, CTX)?, CTX) };
+            Ok(PoolStats {
+                addr: expect_str(field(pool, "addr", CTX)?, CTX)?.to_string(),
+                checkouts: pool_int("checkouts")?,
+                reused: pool_int("reused")?,
+                dials: pool_int("dials")?,
+                redials: pool_int("redials")?,
+                discarded: pool_int("discarded")?,
+                pipelined_batches: pool_int("pipelined_batches")?,
+                pipelined_specs: pool_int("pipelined_specs")?,
+                bytes_sent: pool_int("bytes_sent")?,
+                bytes_received: pool_int("bytes_received")?,
+                frames_coalesced: pool_int("frames_coalesced")?,
+                ring_exchanges: pool_int("ring_exchanges")?,
+                reactor_wakeups: pool_int("reactor_wakeups")?,
+                inflight_per_conn: pool_int("inflight_per_conn")?,
+                hedges_launched: pool_int("hedges_launched")?,
+                hedges_won: pool_int("hedges_won")?,
+                failovers: pool_int("failovers")?,
+                breaker_trips: pool_int("breaker_trips")?,
+                breaker_fast_fails: pool_int("breaker_fast_fails")?,
+                dict_defines: pool_int("dict_defines")?,
+                dict_hits: pool_int("dict_hits")?,
             })
-            .collect::<Result<Vec<_>, DecodeError>>()?,
-    };
+        })
+        .collect::<Result<Vec<_>, DecodeError>>()?;
     Ok(ServiceStats {
         submitted: int_field("submitted")?,
         completed: int_field("completed")?,

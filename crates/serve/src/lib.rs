@@ -36,9 +36,9 @@
 //! * [`json`] is the offline-friendly emitter for reports, grids and stats
 //!   (the workspace `serde` is a no-op stand-in, so this is the real wire
 //!   format until the registry is reachable); [`binary`] is its compact
-//!   protocol-3 sibling for the shard wire — allocation-free encoding into
-//!   reusable scratch buffers, negotiated per peer with transparent JSON
-//!   fallback (see [`wire`]).
+//!   sibling for the shard wire — allocation-free encoding into reusable
+//!   scratch buffers, used once a connection's hello succeeds (see
+//!   [`wire`]).
 //!
 //! ## Synchronous use
 //!

@@ -28,14 +28,13 @@
 //!   dials, the pre-pool behaviour, kept measurable for the serve
 //!   benchmark's pooled-vs-unpooled comparison).
 //!
-//! The pool also owns the shard-protocol negotiation state: the `hello`
-//! handshake records the peer's [`PROTOCOL_VERSION`]
-//! so [`RemoteBackend`](crate::remote::RemoteBackend)s sharing the pool
-//! know whether the shard speaks `evaluate_batch` (pipelined micro-batch
-//! exchanges, protocol ≥ 2) and the binary codec (protocol ≥ 3) or needs
-//! the per-spec / JSON fallbacks.  Because the state lives on the pool —
-//! not on individual connections — it survives connection check-in and is
-//! shared by every backend routed through this shard address.
+//! The pool also owns the handshake state: the `hello` exchange checks
+//! that the shard speaks exactly [`PROTOCOL_VERSION`] (any other version
+//! fails the handshake with a mismatch error) and records the credit
+//! window it advertises.  Because the state lives on the pool — not on
+//! individual connections — it survives connection check-in and is shared
+//! by every [`RemoteBackend`](crate::remote::RemoteBackend) routed through
+//! this shard address.
 //!
 //! # Pools in a replicated fleet
 //!
@@ -66,8 +65,8 @@ use crate::reactor::Multiplexer;
 use crate::shm::{RingConn, Segment};
 use crate::stats::{LatencyRecorder, PoolStats};
 use crate::wire::{
-    read_response_frame, read_response_frame_dict, write_request_frame, write_request_frame_dict,
-    ShardRequest, ShardResponse, WireEncoding, WireError, DICT_PROTOCOL, PROTOCOL_VERSION,
+    read_response_frame_dict, write_request_frame_dict, ShardRequest, ShardResponse, WireEncoding,
+    WireError, PROTOCOL_VERSION,
 };
 use std::cell::RefCell;
 use std::io::{Read, Write};
@@ -90,16 +89,16 @@ thread_local! {
 
 /// Per-pool memory of whether this shard's connections can ride a
 /// shared-memory ring, so only the first dial pays the probing hello
-/// against a shard (or peer) that will never offer one.
+/// against a shard that will never offer one.
 const RING_UNKNOWN: u64 = 0;
 const RING_AVAILABLE: u64 = 1;
 const RING_REFUSED: u64 = 2;
 
-/// One pooled connection: a transport plus the per-connection symbol
-/// dictionaries of the protocol-7 encoding.  The codec rides with the
-/// connection through check-in and checkout — whichever thread holds the
-/// connection holds its tables, and dropping the connection drops them
-/// (fresh connections always start from empty tables).
+/// One pooled connection: a transport plus its per-connection symbol
+/// dictionaries.  The codec rides with the connection through check-in
+/// and checkout — whichever thread holds the connection holds its tables,
+/// and dropping the connection drops them (fresh connections always start
+/// from empty tables).
 #[derive(Debug)]
 struct PooledConn {
     transport: Transport,
@@ -229,7 +228,8 @@ pub(crate) struct PoolCounters {
     /// was woken (socket readiness or a submitter's wake byte).
     pub reactor_wakeups: AtomicU64,
     /// High-water mark of requests in flight on one multiplexed
-    /// connection; stays zero against strict-FIFO (pre-v5) shards.
+    /// connection; stays zero against strict-FIFO (threads front end)
+    /// shards.
     pub inflight_per_conn: AtomicU64,
     /// Hedge exchanges launched because an exchange on this pool outlived
     /// its hedge budget (fleet layer; see [`crate::fleet`]).
@@ -242,7 +242,7 @@ pub(crate) struct PoolCounters {
     pub breaker_trips: AtomicU64,
     /// Routing decisions that skipped this pool because its breaker was open.
     pub breaker_fast_fails: AtomicU64,
-    /// Labels defined into protocol-7 symbol dictionaries on this pool's
+    /// Labels defined into symbol dictionaries on this pool's
     /// connections (both directions).
     pub dict_defines: AtomicU64,
     /// Label occurrences resolved through those dictionaries instead of
@@ -282,16 +282,17 @@ pub struct ConnectionPool {
     config: RemoteConfig,
     idle: Mutex<Vec<PooledConn>>,
     counters: Arc<PoolCounters>,
-    /// Negotiated shard protocol version; 0 until a `hello` has answered.
+    /// The shard's protocol version once a `hello` has succeeded (always
+    /// [`PROTOCOL_VERSION`]); 0 before.
     protocol: AtomicU64,
-    /// Credit window the shard advertised in `hello` (v5 multiplexing);
-    /// 0 until negotiated, and stays 0 against strict-FIFO shards.
+    /// Credit window the shard advertised in `hello`; 0 until negotiated,
+    /// and stays 0 against strict-FIFO shards.
     window: AtomicU64,
     /// Whether this shard offers ring segments (one of the `RING_*`
     /// states), learned on the first ring-eligible dial.
     ring_state: AtomicU64,
-    /// The multiplexed connection, once one has been established (v5 shard,
-    /// binary encoding, no ring).  Poisoned (`None`) again on transport
+    /// The multiplexed connection, once one has been established (windowed
+    /// shard, binary encoding, no ring).  Poisoned (`None`) again on transport
     /// failure so the next exchange re-dials.
     mux: Mutex<Option<Arc<Multiplexer>>>,
     /// Monotonic exchange ids (diagnostic only — exchanges on one
@@ -325,31 +326,13 @@ impl ConnectionPool {
         &self.config
     }
 
-    /// The negotiated shard protocol version (`None` before any `hello`
-    /// has answered).
+    /// The shard's protocol version (`None` before a `hello` has
+    /// succeeded; afterwards always [`PROTOCOL_VERSION`]).
     pub fn protocol(&self) -> Option<u64> {
         match self.protocol.load(Ordering::Acquire) {
             0 => None,
             version => Some(version),
         }
-    }
-
-    /// Whether the shard behind this pool speaks `evaluate_batch`
-    /// (protocol ≥ 2).  `false` until negotiated.
-    pub fn supports_batch(&self) -> bool {
-        self.protocol().is_some_and(|v| v >= 2)
-    }
-
-    /// Whether the shard behind this pool speaks the binary codec
-    /// (protocol ≥ 3).  `false` until negotiated.
-    pub fn supports_binary(&self) -> bool {
-        self.protocol().is_some_and(|v| v >= 3)
-    }
-
-    /// Whether the shard behind this pool speaks the protocol-7 symbol
-    /// dictionaries.  `false` until negotiated.
-    pub fn supports_dict(&self) -> bool {
-        self.protocol().is_some_and(|v| v >= DICT_PROTOCOL)
     }
 
     /// The per-connection credit window the shard advertised (`None` until
@@ -362,7 +345,7 @@ impl ConnectionPool {
         }
     }
 
-    /// Whether exchanges on this pool may ride one multiplexed v5
+    /// Whether exchanges on this pool may ride one multiplexed
     /// connection: the shard advertised a window, the frames are binary
     /// (response ids route replies without a JSON parse per peek), and no
     /// shared-memory ring won the transport negotiation (rings already
@@ -377,32 +360,20 @@ impl ConnectionPool {
             && self.config.pool_size > 0
     }
 
-    /// The encoding the next frame to this shard should use, combining the
-    /// configured [`EncodingPolicy`] with the negotiated protocol.  The
-    /// negotiated state lives on the pool, so it survives connection
-    /// check-in/checkout and is shared by every backend on this pool.
+    /// The encoding the next frame to this shard should use.  After a
+    /// successful `hello` it follows the configured [`EncodingPolicy`]
+    /// alone; before one, `Auto` sends JSON and `Binary` plain binary (a
+    /// dictionary frame needs a handshake first).
     pub fn frame_encoding(&self) -> WireEncoding {
+        let handshook = self.protocol().is_some();
         match self.config.encoding {
             EncodingPolicy::Json => WireEncoding::Json,
-            EncodingPolicy::Binary => {
-                if self.supports_dict() {
-                    WireEncoding::BinaryDict
-                } else {
-                    WireEncoding::Binary
-                }
-            }
-            // The debugging escape hatch: plain binary even against a v7
-            // shard, so dictionary suspicion can be ruled out per pool.
+            // The debugging escape hatch: plain binary, so dictionary
+            // suspicion can be ruled out per pool.
             EncodingPolicy::BinaryNodict => WireEncoding::Binary,
-            EncodingPolicy::Auto => {
-                if self.supports_dict() {
-                    WireEncoding::BinaryDict
-                } else if self.supports_binary() {
-                    WireEncoding::Binary
-                } else {
-                    WireEncoding::Json
-                }
-            }
+            EncodingPolicy::Auto | EncodingPolicy::Binary if handshook => WireEncoding::BinaryDict,
+            EncodingPolicy::Binary => WireEncoding::Binary,
+            EncodingPolicy::Auto => WireEncoding::Json,
         }
     }
 
@@ -461,25 +432,49 @@ impl ConnectionPool {
     /// [`observed_exchange_p95`](Self::observed_exchange_p95) reports.
     pub const P95_MIN_SAMPLES: u64 = 16;
 
-    /// Performs the `hello` handshake, recording the shard's protocol
-    /// version for [`supports_batch`](Self::supports_batch), and returns
-    /// the hosted backend names in registration order.
+    /// Performs the `hello` handshake and returns the hosted backend names
+    /// in registration order.  A shard of another protocol version fails
+    /// it with a mismatch error naming both versions.  Any ring offer in
+    /// the answer belongs to the connection that carried the exchange;
+    /// rings are negotiated per connection at dial time, so it is ignored
+    /// here.
     pub fn hello(&self) -> Result<Vec<String>, WireError> {
-        match self.exchange(&ShardRequest::Hello {
+        let response = self.exchange(&ShardRequest::Hello {
             protocol: PROTOCOL_VERSION,
-        })? {
-            // Any ring offer in this response belongs to the connection
-            // that carried the exchange; rings are negotiated per
-            // connection at dial time, so it is ignored here.
+        })?;
+        self.accept_hello(response).map(|(names, _ring)| names)
+    }
+
+    /// Performs the `hello` handshake unless one has already succeeded —
+    /// how clients built without a construction-time handshake negotiate
+    /// on first use.
+    pub(crate) fn ensure_hello(&self) -> Result<(), WireError> {
+        if self.protocol().is_none() {
+            self.hello()?;
+        }
+        Ok(())
+    }
+
+    /// Checks a `hello` answer and records the handshake: the shard's
+    /// version must equal ours.  Returns the hosted names and the ring
+    /// offer.
+    fn accept_hello(
+        &self,
+        response: ShardResponse,
+    ) -> Result<(Vec<String>, Option<String>), WireError> {
+        match response {
             ShardResponse::Backends {
                 names,
                 protocol,
+                ring,
                 window,
-                ..
             } => {
-                self.protocol.store(protocol.max(1), Ordering::Release);
+                if protocol != PROTOCOL_VERSION {
+                    return Err(WireError::ProtocolMismatch(protocol));
+                }
+                self.protocol.store(protocol, Ordering::Release);
                 self.window.store(window.unwrap_or(0), Ordering::Release);
-                Ok(names)
+                Ok((names, ring))
             }
             ShardResponse::Rejected(message) => Err(WireError::Rejected(message)),
             _ => Err(WireError::Rejected(
@@ -622,7 +617,7 @@ impl ConnectionPool {
     }
 
     /// The pool's live multiplexed connection, dialling one on first use.
-    /// `None` when multiplexing is not negotiated (pre-v5 shard, JSON
+    /// `None` when multiplexing is not negotiated (no window, JSON
     /// encoding, a ring in play) or the dial fails — callers then take the
     /// plain pooled path, so a mux setback never fails an exchange.
     fn mux_handle(&self) -> Option<Arc<Multiplexer>> {
@@ -712,49 +707,16 @@ impl ConnectionPool {
         Ok(stream)
     }
 
-    /// One hello on the fresh connection: learns the shard's protocol and,
+    /// One hello on the fresh connection: checks the shard's protocol and,
     /// when a ring segment is offered, maps it and upgrades the connection.
-    /// Every *semantic* disappointment — an old shard, no offer, a segment
-    /// that will not map — degrades to the plain socket; only transport
-    /// failures propagate.
+    /// No offer, or a segment that will not map, keeps the plain socket;
+    /// transport failures and a failed handshake propagate.
     fn negotiate_ring(&self, mut stream: TcpStream) -> Result<PooledConn, WireError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let encoding = self.frame_encoding();
         let hello = ShardRequest::Hello {
             protocol: PROTOCOL_VERSION,
         };
-        let offer = FRAME_SCRATCH.with(|cell| {
-            let scratch = &mut cell.borrow_mut();
-            let sent = write_request_frame(&mut stream, id, &hello, encoding, scratch)?;
-            self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
-            let (_, response, received) =
-                read_response_frame(&mut stream, scratch)?.ok_or_else(|| {
-                    WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "shard closed the connection during ring negotiation",
-                    ))
-                })?;
-            self.counters
-                .bytes_received
-                .fetch_add(received, Ordering::Relaxed);
-            Ok::<ShardResponse, WireError>(response)
-        })?;
-        let ring = match offer {
-            ShardResponse::Backends {
-                protocol,
-                ring,
-                window,
-                ..
-            } => {
-                self.protocol.store(protocol.max(1), Ordering::Release);
-                self.window.store(window.unwrap_or(0), Ordering::Release);
-                ring
-            }
-            // Anything else is a peer that does not speak hello the way a
-            // shard does (a test double, a very old build).  The exchange
-            // itself was framed cleanly, so the connection is usable.
-            _ => None,
-        };
+        let offer = self.round_trip(&mut stream, &mut ConnCodec::new(), &hello)?;
+        let (_names, ring) = self.accept_hello(offer)?;
         let Some(path) = ring else {
             self.ring_state.store(RING_REFUSED, Ordering::Release);
             return Ok(PooledConn::tcp(stream));
@@ -799,37 +761,7 @@ impl ConnectionPool {
     ) -> Result<ShardResponse, WireError> {
         conn.transport
             .set_read_budget(self.read_budget_for(request))?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let encoding = self.frame_encoding();
-        let result = FRAME_SCRATCH.with(|cell| {
-            let scratch = &mut cell.borrow_mut();
-            let sent = write_request_frame_dict(
-                &mut conn.transport,
-                id,
-                request,
-                encoding,
-                scratch,
-                &mut conn.codec.tx,
-            )?;
-            self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
-            let (_, response, received) =
-                read_response_frame_dict(&mut conn.transport, scratch, &mut conn.codec.rx)?
-                    .ok_or_else(|| {
-                        WireError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "shard closed the connection before answering",
-                        ))
-                    })?;
-            self.counters
-                .bytes_received
-                .fetch_add(received, Ordering::Relaxed);
-            Ok::<ShardResponse, WireError>(response)
-        });
-        // Drain on every outcome — a failed exchange's defines are still
-        // real table entries the peer may reference.
-        let (defines, hits) = conn.codec.take_counts();
-        self.counters.note_dict(defines, hits);
-        let response = result?;
+        let response = self.round_trip(&mut conn.transport, &mut conn.codec, request)?;
         if conn.transport.is_ring() {
             self.counters.ring_exchanges.fetch_add(1, Ordering::Relaxed);
         }
@@ -839,6 +771,41 @@ impl ConnectionPool {
             self.checkin(conn);
         }
         Ok(response)
+    }
+
+    /// Writes one request frame and reads its response over `transport`,
+    /// counting the bytes and the dictionary activity of `codec` in the
+    /// pool counters.
+    fn round_trip(
+        &self,
+        transport: &mut (impl Read + Write),
+        codec: &mut ConnCodec,
+        request: &ShardRequest,
+    ) -> Result<ShardResponse, WireError> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let encoding = self.frame_encoding();
+        let result = FRAME_SCRATCH.with(|cell| {
+            let scratch = &mut cell.borrow_mut();
+            let sent =
+                write_request_frame_dict(transport, id, request, encoding, scratch, &mut codec.tx)?;
+            self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
+            let (_, response, received) =
+                read_response_frame_dict(transport, scratch, &mut codec.rx)?.ok_or_else(|| {
+                    WireError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "shard closed the connection before answering",
+                    ))
+                })?;
+            self.counters
+                .bytes_received
+                .fetch_add(received, Ordering::Relaxed);
+            Ok(response)
+        });
+        // Drain on every outcome — a failed exchange's defines are still
+        // real table entries the peer may reference.
+        let (defines, hits) = codec.take_counts();
+        self.counters.note_dict(defines, hits);
+        result
     }
 
     /// Runs a coalesced burst on `conn`: every request frame in one
@@ -968,8 +935,9 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpListener;
 
-    /// A raw echo-ish peer: accepts connections and answers every frame
-    /// with a fixed rejection, counting connections accepted.
+    /// A raw canned-answer peer: accepts connections, answers a `hello`
+    /// as a v7 shard without a ring offer and every other frame with
+    /// `supported: true`, counting connections accepted.
     fn rejecting_peer() -> (String, std::sync::Arc<AtomicU64>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
         let addr = listener.local_addr().expect("peer addr").to_string();
@@ -987,7 +955,12 @@ mod tests {
                         if stream.read_exact(&mut payload).is_err() {
                             return;
                         }
-                        let body = br#"{"id": 0, "ok": true, "supported": true}"#;
+                        let hello = payload.windows(7).any(|w| w == b"\"hello\"");
+                        let body: &[u8] = if hello {
+                            br#"{"id": 0, "ok": true, "backends": [], "protocol": 7}"#
+                        } else {
+                            br#"{"id": 0, "ok": true, "supported": true}"#
+                        };
                         let frame_len = (body.len() as u32).to_be_bytes();
                         if stream.write_all(&frame_len).is_err() || stream.write_all(body).is_err()
                         {

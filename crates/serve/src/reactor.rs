@@ -12,8 +12,7 @@
 //! threads.  The reactor inverts that: every connection is a small state
 //! machine stepped by readiness events, evaluations run through the
 //! service's worker pools via completion callbacks, and responses leave in
-//! *completion* order — protocol 5 clients match them back up by request
-//! id.
+//! *completion* order — clients match them back up by request id.
 //!
 //! ```text
 //!             ┌───────────── reactor thread ──────────────┐
@@ -26,21 +25,23 @@
 //!             │        hello/supports/stats/cancel inline │
 //!             │        evaluate → submit_batch_callback   │
 //!             │ DONE   encode → out buffer (held for      │
-//!             │        FIFO order on pre-v5 peers)        │
+//!             │        FIFO order without a hello)        │
 //!             │ WRITE  drain out; partial ⇒ want-write    │
 //!             └───────────────────────────────────────────┘
 //! ```
 //!
-//! # Protocol-5 negotiation
+//! # Multiplexing
 //!
-//! A client that sends `hello { protocol: 5 }` to a reactor-fronted shard
-//! is answered with a credit `window`: the shard will accept up to that
-//! many request frames in flight on the connection, answers them in
-//! completion order, and honours `cancel` frames (the slot frees, the
-//! eventual stale response is suppressed).  Everything older — or any
-//! peer on the threads front end — gets no window and keeps the strict
-//! FIFO contract: the reactor holds out-of-order completions and releases
-//! them in request order, byte-identically to the blocking front end.
+//! A client whose `hello` carries this build's [`PROTOCOL_VERSION`] is
+//! answered with a credit `window`: the shard will accept up to that many
+//! request frames in flight on the connection, answers them in completion
+//! order, and honours `cancel` frames (the slot frees, the eventual stale
+//! response is suppressed).  A `hello` of any other version is rejected with a
+//! protocol-mismatch error.  A connection that never sent a matching
+//! `hello` — a blocking pool connection with `pool_size = 0`, or a JSON
+//! burst — keeps the strict FIFO contract: the reactor holds out-of-order
+//! completions and releases them in request order, byte-identically to
+//! the blocking front end.
 //!
 //! The reactor never offers shared-memory rings (a ring's busy-poll
 //! consumer has no place on an event loop); same-host deployments that
@@ -48,7 +49,7 @@
 //!
 //! # Backpressure
 //!
-//! Credits are enforced on the server by *not reading*: once a protocol-5
+//! Credits are enforced on the server by *not reading*: once a multiplexed
 //! connection has `window` evaluations in flight, its frames stay in the
 //! kernel socket buffer (read interest is dropped) until a completion
 //! frees a slot — TCP flow control pushes back to the client, whose own
@@ -60,9 +61,9 @@ use crate::pool::PoolCounters;
 use crate::request::{BackendSelector, EvalResponse, Priority};
 use crate::service::EvalService;
 use crate::wire::{
-    decode_request_payload_dict, decode_response_payload_dict, write_request_frame_dict,
-    write_response_frame, write_response_frame_dict, FrameBuffer, ShardRequest, ShardResponse,
-    SharedResult, WireEncoding, WireError, LATENCY_STATS_PROTOCOL, MUX_PROTOCOL, PROTOCOL_VERSION,
+    decode_request_payload_dict, decode_response_payload_dict, protocol_mismatch,
+    write_request_frame_dict, write_response_frame, write_response_frame_dict, FrameBuffer,
+    ShardRequest, ShardResponse, SharedResult, WireEncoding, WireError, PROTOCOL_VERSION,
 };
 use rsn_eval::EvalError;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -74,7 +75,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Request frames a protocol-5 connection may have in flight before the
+/// Request frames a multiplexed connection may have in flight before the
 /// reactor stops reading it (and the client [`Multiplexer`] blocks
 /// submitters).  Large enough to keep a shard's worker pools saturated
 /// from one connection, small enough that one greedy connection cannot
@@ -442,14 +443,14 @@ struct Conn {
     /// the socket has accepted.
     out: Vec<u8>,
     out_pos: usize,
-    /// The peer's protocol from its hello; 0 until one arrives (treated
-    /// as version 1: strict FIFO, no credit window).
-    peer_protocol: u64,
-    /// Ids owed a response, in request order — only maintained for
-    /// pre-v5 peers, whose blocking clients read responses sequentially.
+    /// Set by a matching hello: responses leave in completion order and
+    /// credits apply.  Until then the connection is strict FIFO.
+    multiplexed: bool,
+    /// Ids owed a response, in request order — only maintained on FIFO
+    /// connections, whose blocking clients read responses sequentially.
     order: VecDeque<u64>,
     /// Completed responses held until their id reaches the front of
-    /// `order` (pre-v5 peers only).
+    /// `order` (FIFO connections only).
     fifo_done: HashMap<u64, Vec<u8>>,
     /// Evaluations submitted to the worker pools, not yet completed.
     inflight: u64,
@@ -466,9 +467,9 @@ struct Conn {
     interest: u8,
     dead: bool,
     last_activity: Instant,
-    /// Protocol-7 symbol dictionaries: `rx` interns the labels this peer
-    /// defines in its request frames, `tx` tracks what this side has
-    /// defined in its responses.  Reset with the connection, never shared.
+    /// Symbol dictionaries: `rx` interns the labels this peer defines in
+    /// its request frames, `tx` tracks what this side has defined in its
+    /// responses.  Reset with the connection, never shared.
     codec: ConnCodec,
 }
 
@@ -480,7 +481,7 @@ impl Conn {
             frames: FrameBuffer::new(),
             out: Vec::new(),
             out_pos: 0,
-            peer_protocol: 0,
+            multiplexed: false,
             order: VecDeque::new(),
             fifo_done: HashMap::new(),
             inflight: 0,
@@ -494,9 +495,9 @@ impl Conn {
         }
     }
 
-    /// Whether this peer negotiated out-of-order completion (protocol 5).
+    /// Whether responses must leave in request order (no matching hello).
     fn fifo(&self) -> bool {
-        self.peer_protocol < MUX_PROTOCOL
+        !self.multiplexed
     }
 
     fn wants_write(&self) -> bool {
@@ -540,8 +541,8 @@ fn encode_response(
 }
 
 /// Queues one encoded response on a connection: straight to the out
-/// buffer for protocol-5 peers (completion order *is* the wire order),
-/// held for request order on older ones.
+/// buffer when multiplexed (completion order *is* the wire order), held
+/// for request order otherwise.
 fn queue_response(conn: &mut Conn, id: u64, bytes: Vec<u8>) {
     if conn.fifo() {
         conn.fifo_done.insert(id, bytes);
@@ -566,9 +567,14 @@ fn flush_fifo(conn: &mut Conn) {
 }
 
 /// Shapes a completed [`EvalResponse`] into the response the request's
-/// form owes, padding defensively so a shape mismatch surfaces as a
-/// domain error, never a desync (mirrors the threads front end).
-fn completed_response(response: EvalResponse, expected: usize, single: bool) -> ShardResponse {
+/// form owes (one result for `evaluate`, one per spec for
+/// `evaluate_batch`), padding defensively so a shape mismatch surfaces as
+/// a domain error, never a desync.  Shared by both front ends.
+pub(crate) fn completed_response(
+    response: EvalResponse,
+    expected: usize,
+    single: bool,
+) -> ShardResponse {
     let mut results: Vec<SharedResult> = response
         .results
         .into_iter()
@@ -602,8 +608,8 @@ fn handle_frame(
         decode_request_payload_dict(payload, &mut conn.codec.rx)
     else {
         // The encoding never decoded, so answer in JSON (readable by every
-        // protocol version) and wind the connection down: after a framing
-        // error the stream position cannot be trusted.
+        // client) and wind the connection down: after a framing error the
+        // stream position cannot be trusted.
         let rejection = ShardResponse::Rejected("malformed frame".to_string());
         let bytes = encode_response(conn, 0, &rejection, WireEncoding::Json, scratch);
         conn.out.extend_from_slice(&bytes);
@@ -615,7 +621,7 @@ fn handle_frame(
         EncodingPolicy::Json => WireEncoding::Json,
         // Forced binary still mirrors the *dictness* of each request: a
         // dictionary frame gets a dictionary answer, a plain one stays
-        // plain, so pre-v7 peers never see a stateful frame.
+        // plain, so a stateless client never sees a stateful frame.
         EncodingPolicy::Binary => {
             if request_encoding == WireEncoding::BinaryDict {
                 WireEncoding::BinaryDict
@@ -627,31 +633,35 @@ fn handle_frame(
     };
     // Dictionary responses require encode order == wire order, and the
     // FIFO hold below releases out-of-order completions in *request*
-    // order.  A peer that sends dictionary frames before its protocol-5
-    // hello (no conforming client does) therefore gets plain binary,
-    // which every dict-capable client decodes statelessly.
+    // order.  A peer that sends dictionary frames before its hello (no
+    // conforming client does) therefore gets plain binary, which every
+    // dict-capable client decodes statelessly.
     if encoding == WireEncoding::BinaryDict && conn.fifo() {
         encoding = WireEncoding::Binary;
     }
-    // FIFO bookkeeping uses the protocol in force when the frame arrived;
-    // a hello upgrades the *following* frames.
+    // FIFO bookkeeping uses the mode in force when the frame arrived; a
+    // matching hello upgrades the *following* frames.
     if conn.fifo() && !matches!(request, ShardRequest::Cancel { .. }) {
         conn.order.push_back(id);
     }
     match request {
         ShardRequest::Hello { protocol } => {
-            conn.peer_protocol = protocol;
             // The reactor never offers rings; it advertises a credit
-            // window instead, and only to peers new enough to use it.
-            let response = ShardResponse::Backends {
-                names: service.backend_names().to_vec(),
-                protocol: PROTOCOL_VERSION,
-                ring: None,
-                window: (protocol >= MUX_PROTOCOL).then_some(CREDIT_WINDOW),
+            // window instead.
+            let response = if protocol == PROTOCOL_VERSION {
+                conn.multiplexed = true;
+                ShardResponse::Backends {
+                    names: service.backend_names().to_vec(),
+                    protocol: PROTOCOL_VERSION,
+                    ring: None,
+                    window: Some(CREDIT_WINDOW),
+                }
+            } else {
+                ShardResponse::Rejected(protocol_mismatch("shard", "peer", protocol))
             };
             let bytes = encode_response(conn, id, &response, encoding, scratch);
-            // The hello itself was enqueued under the peer's *old*
-            // protocol, so release it through the same path.
+            // The hello itself may have been enqueued as a FIFO frame, so
+            // release it through the same path.
             if conn.order.back() == Some(&id) {
                 conn.fifo_done.insert(id, bytes);
                 flush_fifo(conn);
@@ -668,13 +678,7 @@ fn handle_frame(
             queue_response(conn, id, bytes);
         }
         ShardRequest::Stats => {
-            let mut stats = service.stats();
-            // Pre-v6 binary decoders reject the trailing per-class latency
-            // section, so strip it for peers that predate it.
-            if conn.peer_protocol < LATENCY_STATS_PROTOCOL {
-                stats.classes.clear();
-            }
-            let response = ShardResponse::Stats(stats);
+            let response = ShardResponse::Stats(service.stats());
             let bytes = encode_response(conn, id, &response, encoding, scratch);
             queue_response(conn, id, bytes);
         }
@@ -1017,9 +1021,9 @@ struct MuxState {
     /// Encoded request frames waiting for the reactor thread to write.
     outbound: Vec<u8>,
     pending: PendingMap,
-    /// Protocol-7 request-direction symbol table.  Lives under the state
-    /// lock so encode order always equals wire order: frames append to
-    /// `outbound` in the same critical section that advances the table.
+    /// Request-direction symbol table.  Lives under the state lock so
+    /// encode order always equals wire order: frames append to `outbound`
+    /// in the same critical section that advances the table.
     tx: TxSymbols,
 }
 
@@ -1032,13 +1036,13 @@ struct MuxShared {
     wake: WakePipe,
     dead: AtomicBool,
     window: u64,
-    /// Frame encoding negotiated for this connection (`BinaryDict` against
-    /// protocol-7 shards, plain `Binary` otherwise).
+    /// Frame encoding of this connection (`BinaryDict`, or plain `Binary`
+    /// under the `binary_nodict` policy).
     encoding: WireEncoding,
     counters: Arc<PoolCounters>,
 }
 
-/// A multiplexed client connection to a protocol-5 shard: many requests
+/// A multiplexed client connection to a reactor-fronted shard: many requests
 /// in flight at once, responses matched back by id, a credit window
 /// blocking submitters when the shard is saturated.
 ///
@@ -1092,8 +1096,8 @@ impl Multiplexer {
         // The pool negotiated protocol and window on a *different*
         // connection, and the shard tracks versions per connection: without
         // this, a reactor-fronted shard would treat the mux connection as a
-        // pre-v5 FIFO peer — holding completions in request order and
-        // downgrading protocol-7 dictionary responses to plain binary.  Id
+        // FIFO connection — holding completions in request order and
+        // downgrading dictionary responses to plain binary.  Id
         // 0 is below `next_id`'s floor, so the `backends` answer falls into
         // the unknown-id drop path like any cancelled response.
         let mut outbound = Vec::new();
@@ -1545,8 +1549,8 @@ mod tests {
         queue_response(&mut conn, 10, vec![0xAA]);
         assert_eq!(conn.out, vec![0xAA, 0xBB]);
         assert!(conn.order.is_empty() && conn.fifo_done.is_empty());
-        // A protocol-5 peer skips the hold entirely.
-        conn.peer_protocol = PROTOCOL_VERSION;
+        // A multiplexed connection skips the hold entirely.
+        conn.multiplexed = true;
         queue_response(&mut conn, 12, vec![0xCC]);
         assert_eq!(conn.out, vec![0xAA, 0xBB, 0xCC]);
     }

@@ -25,13 +25,11 @@
 //! across evaluations (health-checked at checkout, re-dialled on transport
 //! error, never returned poisoned — see [`crate::pool`]), so the per-call
 //! TCP connect the first version of this layer paid is gone from the hot
-//! path.  On protocol ≥ 2 shards, [`RemoteBackend::evaluate_many`] sends a
-//! whole micro-batch of specs as **one** `evaluate_batch` wire exchange
-//! and the shard answers with one frame of results — the serving worker
-//! pools call `evaluate_many` with their share of each micro-batch, so
-//! batches formed by the client-side batcher cross the wire intact.
-//! Against version-1 shards the backend transparently falls back to
-//! per-spec exchanges (still pooled).
+//! path.  [`RemoteBackend::evaluate_many`] sends a whole micro-batch of
+//! specs as **one** `evaluate_batch` wire exchange and the shard answers
+//! with one frame of results — the serving worker pools call
+//! `evaluate_many` with their share of each micro-batch, so batches formed
+//! by the client-side batcher cross the wire intact.
 //!
 //! # Failure semantics
 //!
@@ -44,14 +42,15 @@
 use crate::binary::{ConnCodec, RxSymbols, TxSymbols};
 use crate::config::{EncodingPolicy, FrontendPolicy, RemoteConfig, TransportPolicy};
 use crate::pool::ConnectionPool;
+use crate::reactor::completed_response;
 use crate::request::ResponseHandle;
 use crate::service::EvalService;
 use crate::shm::{self, Direction, Parker, RingConsumer, RingProducer, Segment};
 use crate::stats::ServiceStats;
 use crate::wire::{
-    decode_request_payload_dict, write_response_frame, write_response_frame_dict, FrameBuffer,
-    ShardRequest, ShardResponse, SharedResult, WireEncoding, WireError, LATENCY_STATS_PROTOCOL,
-    PROTOCOL_VERSION,
+    decode_request_payload_dict, protocol_mismatch, write_response_frame,
+    write_response_frame_dict, FrameBuffer, ShardRequest, ShardResponse, SharedResult,
+    WireEncoding, WireError, PROTOCOL_VERSION,
 };
 use rsn_eval::{Backend, EvalError, EvalReport, WorkloadSpec};
 use std::collections::HashMap;
@@ -103,7 +102,7 @@ impl ShardServer {
     /// [`bind`](Self::bind) with the front end forced: `Threads` serves
     /// each connection from its own blocking thread (strict FIFO, may
     /// offer shared-memory rings), `Reactor` serves every connection from
-    /// one nonblocking event-loop thread (protocol-5 multiplexing, never
+    /// one nonblocking event-loop thread (multiplexing, never
     /// offers rings) — see [`crate::reactor`].
     pub fn bind_with_frontend(
         addr: &str,
@@ -264,11 +263,12 @@ impl Read for RingReader<'_> {
 /// that vanished without a FIN) so they cannot pin a server thread
 /// forever; pooled clients that idle past it transparently re-dial.
 ///
-/// When the transport policy allows it, the first `hello` creates a
-/// shared-memory ring segment for this connection and advertises it; from
-/// then on the loop polls *both* sources and answers every request on the
-/// transport it arrived on, so clients that decline the offer (or raced
-/// frames onto the socket before switching) are served identically.
+/// When the transport policy allows it, the first matching `hello`
+/// creates a shared-memory ring segment for this connection and
+/// advertises it; from then on the loop polls *both* sources and answers
+/// every request on the transport it arrived on, so clients that decline
+/// the offer (or raced frames onto the socket before switching) are
+/// served identically.
 fn serve_connection(
     mut stream: TcpStream,
     service: &EvalService,
@@ -297,9 +297,6 @@ fn serve_connection(
     // the ring phase continues the socket phase's tables, because a ring
     // upgrade is the same connection on a different byte channel.
     let mut codec = ConnCodec::new();
-    // The peer's protocol version, learned from its hello.  Clients that
-    // skip the hello are assumed v1 — the conservative answer shape.
-    let mut peer_protocol: u64 = 1;
 
     // Socket phase: blocking reads with the idle timeout doing the
     // reaping, until (if ever) a hello negotiates a ring.
@@ -327,16 +324,7 @@ fn serve_connection(
                 Err(_) => return,
             }
         }
-        let responses = answer_burst(
-            service,
-            burst,
-            &remote,
-            &stream,
-            conn_id,
-            &mut ring,
-            &mut peer_protocol,
-            false,
-        );
+        let responses = answer_burst(service, burst, &remote, &stream, conn_id, &mut ring, false);
         out.clear();
         if encode_responses(&mut out, &responses, &mut scratch, &mut codec.tx).is_err() {
             return;
@@ -395,7 +383,6 @@ fn serve_connection(
                 &stream,
                 conn_id,
                 &mut ring,
-                &mut peer_protocol,
                 false,
             );
             out.clear();
@@ -416,14 +403,7 @@ fn serve_connection(
         if !ring_burst.is_empty() {
             progressed = true;
             let responses = answer_burst(
-                service,
-                ring_burst,
-                &remote,
-                &stream,
-                conn_id,
-                &mut ring,
-                &mut peer_protocol,
-                true,
+                service, ring_burst, &remote, &stream, conn_id, &mut ring, true,
             );
             out.clear();
             if encode_responses(&mut out, &responses, &mut scratch, &mut codec.tx).is_err() {
@@ -461,7 +441,7 @@ fn drain_burst(
 }
 
 /// Best-effort rejection of a frame that never decoded: its encoding is
-/// unknown, so answer in JSON, which every protocol version reads.
+/// unknown, so answer in JSON, which every client reads.
 fn reject_unframeable(stream: &mut TcpStream, error: &WireError, scratch: &mut Vec<u8>) {
     let rejection = ShardResponse::Rejected(error.to_string());
     let _ = write_response_frame(stream, 0, &rejection, WireEncoding::Json, scratch);
@@ -490,7 +470,6 @@ enum Staged {
 /// construction same-host — evaluate on this thread, where queue
 /// hand-offs to a pool that shares cores with the client would only add
 /// context switches.
-#[allow(clippy::too_many_arguments)]
 fn answer_burst(
     service: &EvalService,
     burst: Vec<(u64, ShardRequest, WireEncoding)>,
@@ -498,18 +477,17 @@ fn answer_burst(
     stream: &TcpStream,
     conn_id: u64,
     ring: &mut Option<ServerRing>,
-    peer_protocol: &mut u64,
     inline: bool,
 ) -> Vec<(u64, ShardResponse, WireEncoding)> {
     let staged: Vec<(u64, Staged, WireEncoding)> = burst
         .into_iter()
         .map(|(id, request, request_encoding)| {
-            // `Auto` mirrors the request's encoding, so v1/v2 JSON clients,
-            // v3–v6 binary clients and v7 dictionary clients are each
-            // answered in what they speak; forcing `json` keeps a shard's
-            // answers human-readable.  `Binary` upgrades to dictionaries
-            // only when the request proves the peer resolves them, and
-            // `BinaryNodict` pins plain binary even then.
+            // `Auto` mirrors the request's encoding, so JSON, plain binary
+            // and dictionary requests are each answered in kind; forcing
+            // `json` keeps a shard's answers human-readable.  `Binary`
+            // upgrades to dictionaries only when the request proves the
+            // peer resolves them, and `BinaryNodict` pins plain binary even
+            // then.
             let encoding = match remote.encoding {
                 EncodingPolicy::Auto => request_encoding,
                 EncodingPolicy::Json => WireEncoding::Json,
@@ -524,16 +502,7 @@ fn answer_burst(
             };
             (
                 id,
-                stage(
-                    service,
-                    request,
-                    remote,
-                    stream,
-                    conn_id,
-                    ring,
-                    peer_protocol,
-                    inline,
-                ),
+                stage(service, request, remote, stream, conn_id, ring, inline),
                 encoding,
             )
         })
@@ -545,7 +514,6 @@ fn answer_burst(
 }
 
 /// Stages one decoded request against the hosted service.
-#[allow(clippy::too_many_arguments)]
 fn stage(
     service: &EvalService,
     request: ShardRequest,
@@ -553,12 +521,13 @@ fn stage(
     stream: &TcpStream,
     conn_id: u64,
     ring: &mut Option<ServerRing>,
-    peer_protocol: &mut u64,
     inline: bool,
 ) -> Staged {
     match request {
-        ShardRequest::Hello { protocol } => {
-            *peer_protocol = protocol.max(1);
+        ShardRequest::Hello { protocol } if protocol != PROTOCOL_VERSION => Staged::Now(
+            ShardResponse::Rejected(protocol_mismatch("shard", "peer", protocol)),
+        ),
+        ShardRequest::Hello { .. } => {
             maybe_offer_ring(remote, stream, conn_id, ring);
             Staged::Now(ShardResponse::Backends {
                 names: service.backend_names().to_vec(),
@@ -566,9 +535,8 @@ fn stage(
                 ring: ring
                     .as_ref()
                     .map(|server_ring| server_ring.segment.path().display().to_string()),
-                // The blocking front end is strictly FIFO: whatever the
-                // client's protocol, no credit window is advertised, so v5
-                // clients fall back to sequential exchanges here.
+                // The blocking front end is strictly FIFO: no credit window
+                // is advertised, so clients keep sequential exchanges here.
                 window: None,
             })
         }
@@ -584,15 +552,7 @@ fn stage(
         ShardRequest::EvaluateBatch { backend, specs } => {
             submit(service, backend, specs, false, inline)
         }
-        ShardRequest::Stats => {
-            let mut stats = service.stats();
-            // Pre-v6 binary decoders reject the trailing per-class latency
-            // section, so strip it for peers that predate it.
-            if *peer_protocol < LATENCY_STATS_PROTOCOL {
-                stats.classes.clear();
-            }
-            Staged::Now(ShardResponse::Stats(stats))
-        }
+        ShardRequest::Stats => Staged::Now(ShardResponse::Stats(service.stats())),
         // Cancellation is a reactor-front-end feature; a client can only
         // send one here by ignoring the missing window in our hello.
         // Answer (rather than silently dropping) so the 1:1
@@ -651,35 +611,13 @@ fn submit(
 /// `Arc`-shared with the shard's report cache all the way into the
 /// response encoder — answering a cached spec copies nothing.
 fn resolve(staged: Staged) -> ShardResponse {
-    let Staged::Submitted {
-        handle,
-        expected,
-        single,
-    } = staged
-    else {
-        let Staged::Now(response) = staged else {
-            unreachable!()
-        };
-        return response;
-    };
-    let response = handle.wait();
-    let mut results: Vec<SharedResult> = response
-        .results
-        .into_iter()
-        .map(|(_, result)| result)
-        .collect();
-    // One selected backend: results are one per spec.  Pad defensively so
-    // a shape mismatch surfaces as a domain error, never a desync.
-    while results.len() < expected {
-        results.push(Arc::new(Err(EvalError::Remote {
-            message: "shard produced no result slot".to_string(),
-        })));
-    }
-    results.truncate(expected.max(1));
-    if single {
-        ShardResponse::Evaluated(results.remove(0))
-    } else {
-        ShardResponse::EvaluatedBatch(results)
+    match staged {
+        Staged::Now(response) => response,
+        Staged::Submitted {
+            handle,
+            expected,
+            single,
+        } => completed_response(handle.wait(), expected, single),
     }
 }
 
@@ -846,9 +784,8 @@ pub struct RemoteBackend {
 impl RemoteBackend {
     /// Performs the `hello` handshake against a shard server and returns
     /// one `RemoteBackend` per backend it hosts, in the server's
-    /// registration order, all sharing one connection pool.  The handshake
-    /// also negotiates the shard's protocol version, enabling pipelined
-    /// `evaluate_batch` exchanges on version ≥ 2 shards.
+    /// registration order, all sharing one connection pool.  A shard of
+    /// another protocol version fails the handshake with a mismatch error.
     pub fn connect_all(addr: &str) -> Result<Vec<RemoteBackend>, WireError> {
         Self::connect_all_with(addr, RemoteConfig::default())
     }
@@ -872,8 +809,8 @@ impl RemoteBackend {
     }
 
     /// A client for one named backend on a shard server (no handshake; the
-    /// name is trusted, and the protocol version is negotiated lazily on
-    /// the first batched evaluation).
+    /// name is trusted, and the protocol version is checked on the first
+    /// dial or batched evaluation).
     pub fn named(addr: &str, name: &str) -> RemoteBackend {
         Self::named_with(addr, name, RemoteConfig::default())
     }
@@ -935,6 +872,35 @@ impl RemoteBackend {
             detail: format!("shard answered with an unexpected payload ({what})"),
         }
     }
+
+    fn rejected(&self, message: &str) -> EvalError {
+        EvalError::Transport {
+            backend: self.name.clone(),
+            detail: format!("shard rejected the request: {message}"),
+        }
+    }
+
+    /// Shapes one `evaluate_batch` outcome into a result per spec: the
+    /// shard's results, or the exchange's failure repeated for every spec.
+    fn batch_results(
+        &self,
+        outcome: Result<ShardResponse, EvalError>,
+        specs: usize,
+    ) -> Vec<SharedResult> {
+        let error = match outcome {
+            Ok(ShardResponse::EvaluatedBatch(results)) if results.len() == specs => {
+                self.pool.count_pipelined(specs);
+                return results;
+            }
+            Ok(ShardResponse::EvaluatedBatch(results)) => {
+                self.unexpected(&format!("{} results for batch", results.len()))
+            }
+            Ok(ShardResponse::Rejected(message)) => self.rejected(&message),
+            Ok(_) => self.unexpected("evaluate_batch"),
+            Err(error) => error,
+        };
+        (0..specs).map(|_| Arc::new(Err(error.clone()))).collect()
+    }
 }
 
 /// Takes ownership of a decoded wire result.  Freshly decoded results are
@@ -968,67 +934,33 @@ impl Backend for RemoteBackend {
             spec: workload.clone(),
         }) {
             Ok(ShardResponse::Evaluated(result)) => unshare(result),
-            Ok(ShardResponse::Rejected(message)) => Err(EvalError::Transport {
-                backend: self.name.clone(),
-                detail: format!("shard rejected the request: {message}"),
-            }),
+            Ok(ShardResponse::Rejected(message)) => Err(self.rejected(&message)),
             Ok(_) => Err(self.unexpected("evaluate")),
             Err(error) => Err(self.transport_error(&error)),
         }
     }
 
     /// Pipelines a whole micro-batch into one `evaluate_batch` wire
-    /// exchange when the shard's protocol allows it, falling back to
-    /// per-spec exchanges (still pooled) against version-1 shards, when
-    /// pipelining is disabled, or for single-spec batches (where the
-    /// per-spec frame is the same size).
+    /// exchange, using per-spec exchanges (still pooled) only when
+    /// pipelining is disabled or for single-spec batches (where the
+    /// per-spec frame is the same size).  `named` clients skip the
+    /// construction-time handshake, so this performs it on first use; a
+    /// failed one fails every spec with its [`EvalError::Transport`].
     fn evaluate_many(&self, workloads: &[WorkloadSpec]) -> Vec<Result<EvalReport, EvalError>> {
-        let per_spec = || workloads.iter().map(|w| self.evaluate(w)).collect();
         if !self.pipelining || workloads.len() < 2 {
-            return per_spec();
+            return workloads.iter().map(|w| self.evaluate(w)).collect();
         }
-        if self.pool.protocol().is_none() {
-            // `named` clients skip the construction-time handshake;
-            // negotiate on first use.  A failed hello falls through to the
-            // per-spec path, which surfaces the transport error per result.
-            let _ = self.pool.hello();
-        }
-        if !self.pool.supports_batch() {
-            return per_spec();
-        }
-        match self.pool.exchange(&ShardRequest::EvaluateBatch {
-            backend: self.name.clone(),
-            specs: workloads.to_vec(),
-        }) {
-            Ok(ShardResponse::EvaluatedBatch(results)) if results.len() == workloads.len() => {
-                self.pool.count_pipelined(workloads.len());
-                results.into_iter().map(unshare).collect()
-            }
-            Ok(ShardResponse::EvaluatedBatch(results)) => {
-                let got = results.len();
-                workloads
-                    .iter()
-                    .map(|_| Err(self.unexpected(&format!("{got} results for batch"))))
-                    .collect()
-            }
-            Ok(ShardResponse::Rejected(message)) => workloads
-                .iter()
-                .map(|_| {
-                    Err(EvalError::Transport {
-                        backend: self.name.clone(),
-                        detail: format!("shard rejected the request: {message}"),
-                    })
-                })
-                .collect(),
-            Ok(_) => workloads
-                .iter()
-                .map(|_| Err(self.unexpected("evaluate_batch")))
-                .collect(),
-            Err(error) => workloads
-                .iter()
-                .map(|_| Err(self.transport_error(&error)))
-                .collect(),
-        }
+        let outcome = self.pool.ensure_hello().and_then(|()| {
+            self.pool.exchange(&ShardRequest::EvaluateBatch {
+                backend: self.name.clone(),
+                specs: workloads.to_vec(),
+            })
+        });
+        let outcome = outcome.map_err(|error| self.transport_error(&error));
+        self.batch_results(outcome, workloads.len())
+            .into_iter()
+            .map(unshare)
+            .collect()
     }
 
     /// A pipelining remote backend wants its worker's pending chunks
@@ -1057,11 +989,12 @@ impl Backend for RemoteBackend {
     /// Results are handed through in the `Arc`s the wire decoder produced —
     /// the serving cache stores exactly those, so the burst path never
     /// unwraps and re-boxes a report.  Falls back to sequential
-    /// [`Backend::evaluate_many`] calls when pipelining is off, the burst
-    /// is trivial, or the shard predates batch support.
+    /// [`Backend::evaluate_many`] calls when pipelining is off or the burst
+    /// is trivial; a failed first-use handshake fails every spec, exactly
+    /// as in `evaluate_many`.
     fn evaluate_chunks_shared(&self, chunks: &[Vec<WorkloadSpec>]) -> Vec<Vec<SharedResult>> {
-        let sequential = || {
-            chunks
+        if !self.pipelining || chunks.len() < 2 {
+            return chunks
                 .iter()
                 .map(|specs| {
                     self.evaluate_many(specs)
@@ -1069,17 +1002,7 @@ impl Backend for RemoteBackend {
                         .map(Arc::new)
                         .collect()
                 })
-                .collect()
-        };
-        if !self.pipelining || chunks.len() < 2 {
-            return sequential();
-        }
-        if self.pool.protocol().is_none() {
-            // Negotiate on first use, exactly as `evaluate_many` does.
-            let _ = self.pool.hello();
-        }
-        if !self.pool.supports_batch() {
-            return sequential();
+                .collect();
         }
         let requests: Vec<ShardRequest> = chunks
             .iter()
@@ -1088,48 +1011,23 @@ impl Backend for RemoteBackend {
                 specs: specs.clone(),
             })
             .collect();
-        match self.pool.exchange_burst(&requests) {
+        match self
+            .pool
+            .ensure_hello()
+            .and_then(|()| self.pool.exchange_burst(&requests))
+        {
             Ok(responses) => responses
                 .into_iter()
                 .zip(chunks)
-                .map(|(response, specs)| match response {
-                    ShardResponse::EvaluatedBatch(results) if results.len() == specs.len() => {
-                        self.pool.count_pipelined(specs.len());
-                        results
-                    }
-                    ShardResponse::EvaluatedBatch(results) => {
-                        let got = results.len();
-                        specs
-                            .iter()
-                            .map(|_| {
-                                Arc::new(Err(self.unexpected(&format!("{got} results for batch"))))
-                            })
-                            .collect()
-                    }
-                    ShardResponse::Rejected(message) => specs
-                        .iter()
-                        .map(|_| {
-                            Arc::new(Err(EvalError::Transport {
-                                backend: self.name.clone(),
-                                detail: format!("shard rejected the request: {message}"),
-                            }))
-                        })
-                        .collect(),
-                    _ => specs
-                        .iter()
-                        .map(|_| Arc::new(Err(self.unexpected("evaluate_batch"))))
-                        .collect(),
-                })
+                .map(|(response, specs)| self.batch_results(Ok(response), specs.len()))
                 .collect(),
-            Err(error) => chunks
-                .iter()
-                .map(|specs| {
-                    specs
-                        .iter()
-                        .map(|_| Arc::new(Err(self.transport_error(&error))))
-                        .collect()
-                })
-                .collect(),
+            Err(error) => {
+                let error = self.transport_error(&error);
+                chunks
+                    .iter()
+                    .map(|specs| self.batch_results(Err(error.clone()), specs.len()))
+                    .collect()
+            }
         }
     }
 }

@@ -32,44 +32,43 @@
 //! evaluation failures are *domain* results and travel as structured
 //! [`EvalError`] documents inside an `"ok": true` response.
 //!
-//! # Versioning and encoding negotiation
+//! # Protocol version
 //!
-//! The hello response advertises the shard's [`PROTOCOL_VERSION`]; a
-//! response without the field is a version-1 shard.  `evaluate_batch`
-//! (one frame carrying a whole micro-batch of specs, answered by one frame
-//! of results in order) exists from version 2 — clients that handshook a
-//! version-1 shard fall back to per-spec `evaluate` exchanges, so old and
-//! new peers interoperate in both directions.
+//! Both sides speak exactly [`PROTOCOL_VERSION`]; there is no negotiation
+//! down to an older version.  The handshake is a `hello` carrying the
+//! client's version, answered with the shard's.
+//! A shard answers a `hello` whose version differs from its own (a missing
+//! field reads as version 0) with a `Rejected` naming both versions, and a
+//! client whose shard advertises a different version fails the handshake
+//! with [`WireError::ProtocolMismatch`], which names both too.  A version
+//! mismatch is never a downgrade.
 //!
-//! Version 3 adds the binary codec.  Negotiation is one-sided and
-//! hello-driven: a client sends its `hello` in JSON (every version
-//! understands that), and switches to binary frames only after the
-//! response advertises protocol ≥ 3; servers answer every request in the
-//! encoding it arrived in (unless forced otherwise — see
-//! [`EncodingPolicy`](crate::config::EncodingPolicy)), so a v3 server
-//! transparently keeps speaking JSON to v1/v2 clients.
+//! What a v7 connection carries:
 //!
-//! Version 5 makes the negotiation two-sided for multiplexing: the client's
-//! `hello` now carries *its* protocol version (missing means a pre-v5
-//! client), and a reactor-fronted shard answering a v5 client advertises a
-//! per-connection credit `window` in the hello response.  Only when both
-//! halves are present may responses complete **out of order** (matched by
-//! the echoed request id) and may the client send `cancel` frames; against
-//! any older peer both sides keep the strict-FIFO one-response-per-request
-//! discipline, byte-identically to v4.
-//!
-//! Version 7 adds per-connection symbol dictionaries and bitmap-compact
-//! report framing ([`binary::DICT_MAGIC`], `0xB7`).  Unlike every earlier
-//! encoding, a dictionary frame reads and writes *connection state* — the
-//! per-direction symbol tables that resolve label ids — so the stateless
-//! entry points here never emit or accept one: [`write_request_frame`]
-//! treats [`WireEncoding::BinaryDict`] as plain binary, and the plain
-//! decoders reject `0xB7` payloads outright.  Connection owners (the pool,
-//! the reactor, the threads front end) thread their
-//! [`binary::TxSymbols`]/[`binary::RxSymbols`] halves through the `_dict`
-//! variants instead.  Negotiation stays hello-driven: both sides must
-//! advertise ≥ 7 before either emits a dictionary frame, so a v7 client
-//! against a v6 shard produces byte-identical v6 framing.
+//! * `evaluate_batch` — one frame with a whole micro-batch of specs,
+//!   answered by one frame of results in order;
+//! * the compact binary codec ([`binary::MAGIC`], `0xB3`) beside JSON.
+//!   A client under the `auto` policy sends its `hello` in JSON and
+//!   switches to binary once the handshake succeeds; servers answer every
+//!   request in the encoding it arrived in, unless forced otherwise (see
+//!   [`EncodingPolicy`](crate::config::EncodingPolicy));
+//! * an optional shared-memory ring offer in the hello response (see
+//!   [`crate::shm`]);
+//! * an optional per-connection credit `window` in the hello response.  A
+//!   reactor-fronted shard advertises one to every matching client; only
+//!   then may responses complete **out of order** (matched by the echoed
+//!   request id) and may the client send `cancel` frames.  Connections
+//!   without a window keep the strict-FIFO one-response-per-request
+//!   discipline;
+//! * per-connection symbol dictionaries and bitmap-compact report framing
+//!   ([`binary::DICT_MAGIC`], `0xB7`).  A dictionary frame reads and writes
+//!   *connection state* — the per-direction symbol tables that resolve
+//!   label ids — so the stateless entry points here never emit or accept
+//!   one: [`write_request_frame`] treats [`WireEncoding::BinaryDict`] as
+//!   plain binary, and the plain decoders reject `0xB7` payloads outright.
+//!   Connection owners (the pool, the reactor, the threads front end)
+//!   thread their [`binary::TxSymbols`]/[`binary::RxSymbols`] halves
+//!   through the `_dict` variants instead.
 
 use crate::binary;
 use crate::json::{self, DecodeError, JsonParseError, JsonValue};
@@ -87,49 +86,31 @@ pub type SharedResult = Arc<Result<EvalReport, EvalError>>;
 /// document the service emits (a full-model report is a few tens of KiB).
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// The shard protocol version this build speaks.  Version 2 added the
-/// `evaluate_batch` exchange; version 3 added the compact binary codec
-/// ([`crate::binary`]); version 4 added shared-memory ring negotiation
-/// (the hello response may advertise a same-host ring segment path — see
-/// [`crate::shm`]) and extensible pool-counter records in binary stats
-/// documents; version 5 adds request multiplexing (client protocol in the
-/// hello request, a credit `window` in the hello response, out-of-order
-/// response completion matched by id, and the `cancel` frame — see
-/// [`crate::reactor`]); version 6 adds the trailing per-class latency
-/// section in stats documents ([`crate::stats::ClassStats`]); version 7
-/// adds per-connection symbol dictionaries and bitmap-compact report
-/// frames ([`crate::binary::DICT_MAGIC`]).  The hello exchange advertises
-/// the version both ways so each side can negotiate fallbacks against
-/// older peers.
+/// The shard protocol version this build speaks, and the only one it
+/// accepts from a peer (see the module docs for what version 7 carries).
+/// The `hello` exchange carries it both ways; a peer that sends any other
+/// version gets a protocol-mismatch error naming both.
 pub const PROTOCOL_VERSION: u64 = 7;
 
-/// The protocol version that introduced request multiplexing.  Capability
-/// checks for credit windows and out-of-order completion compare against
-/// this, not [`PROTOCOL_VERSION`] — a v5 peer keeps its credit window when
-/// talking to a v6 build.
-pub(crate) const MUX_PROTOCOL: u64 = 5;
-
-/// The protocol version that introduced the per-class latency section in
-/// stats documents.  Servers clear `classes` from a stats snapshot before
-/// answering a peer older than this: pre-v6 binary decoders reject
-/// trailing bytes they do not know.
-pub(crate) const LATENCY_STATS_PROTOCOL: u64 = 6;
-
-/// The protocol version that introduced per-connection symbol dictionaries
-/// and bitmap report frames.  Both sides must advertise at least this
-/// before either may put a [`binary::DICT_MAGIC`] frame on the wire; any
-/// older peer gets byte-identical v6 framing.
-pub(crate) const DICT_PROTOCOL: u64 = 7;
+/// The text of a version mismatch, seen from side `us` (which speaks
+/// [`PROTOCOL_VERSION`]) after side `them` sent `version`.  Shards answer a
+/// wrong-version `hello` with it as a `Rejected`; clients report it as
+/// [`WireError::ProtocolMismatch`].  It names both versions, so either
+/// side's log says what to upgrade.
+pub(crate) fn protocol_mismatch(us: &str, them: &str, version: u64) -> String {
+    format!("protocol mismatch: {us} speaks {PROTOCOL_VERSION}, {them} sent {version}")
+}
 
 /// The encoding of one frame on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireEncoding {
-    /// Pretty-printed JSON (protocol ≤ 2, and the v3 debugging fallback).
+    /// Pretty-printed JSON (the readable debugging encoding, and what an
+    /// `auto` client sends before its handshake).
     Json,
-    /// The compact binary codec (protocol ≥ 3).
+    /// The compact binary codec.
     Binary,
     /// The binary codec with per-connection symbol dictionaries and bitmap
-    /// report frames (protocol ≥ 7).  Stateful: frames in this encoding
+    /// report frames.  Stateful: frames in this encoding
     /// must travel through the `_dict` functions with the connection's
     /// symbol tables; the stateless writers fall back to plain binary.
     BinaryDict,
@@ -151,6 +132,9 @@ pub enum WireError {
     Decode(DecodeError),
     /// The peer answered with a protocol-level failure.
     Rejected(String),
+    /// The shard's `hello` answer advertised this protocol version, which
+    /// is not [`PROTOCOL_VERSION`].
+    ProtocolMismatch(u64),
 }
 
 impl std::fmt::Display for WireError {
@@ -166,6 +150,9 @@ impl std::fmt::Display for WireError {
             WireError::Parse(e) => write!(f, "malformed frame: {e}"),
             WireError::Decode(e) => write!(f, "unexpected frame: {e}"),
             WireError::Rejected(message) => write!(f, "peer rejected the request: {message}"),
+            WireError::ProtocolMismatch(version) => {
+                f.write_str(&protocol_mismatch("client", "shard", *version))
+            }
         }
     }
 }
@@ -192,46 +179,21 @@ impl From<DecodeError> for WireError {
 
 /// Writes one length-prefixed JSON frame.
 pub fn write_frame(writer: &mut impl Write, doc: &JsonValue) -> Result<(), WireError> {
-    let payload = doc.to_pretty();
-    if payload.len() as u64 > u64::from(MAX_FRAME_BYTES) {
-        return Err(WireError::FrameTooLarge(payload.len() as u64));
-    }
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload.as_bytes())?;
-    writer.flush()?;
-    Ok(())
+    let mut frame = Vec::new();
+    begin_frame(&mut frame);
+    frame.extend_from_slice(doc.to_pretty().as_bytes());
+    write_framed(writer, &mut frame).map(|_| ())
 }
 
 /// Reads one length-prefixed JSON frame.  A clean EOF *before* the length
 /// prefix returns `Ok(None)` (the peer closed an idle connection); EOF
 /// mid-frame is an error.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<JsonValue>, WireError> {
-    let mut prefix = [0u8; 4];
-    match reader.read(&mut prefix)? {
-        0 => return Ok(None),
-        mut filled => {
-            while filled < prefix.len() {
-                let n = reader.read(&mut prefix[filled..])?;
-                if n == 0 {
-                    return Err(WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed inside a frame length prefix",
-                    )));
-                }
-                filled += n;
-            }
-        }
-    }
-    let len = u32::from_be_bytes(prefix);
-    if len > MAX_FRAME_BYTES {
-        return Err(WireError::FrameTooLarge(u64::from(len)));
-    }
     let mut payload = Vec::new();
-    read_exact_growing(reader, &mut payload, len as usize)?;
-    let text = String::from_utf8(payload)
-        .map_err(|e| WireError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
-    Ok(Some(json::parse(&text)?))
+    if read_payload(reader, &mut payload)?.is_none() {
+        return Ok(None);
+    }
+    parse_json_payload(&payload).map(Some)
 }
 
 /// Reads one frame's payload bytes into `scratch` (cleared and reused — no
@@ -332,7 +294,7 @@ pub fn write_request_frame(
     begin_frame(scratch);
     match encoding {
         // Stateless entry point: without the connection's symbol tables,
-        // BinaryDict degrades to the plain image, which every ≥ v3 peer
+        // BinaryDict degrades to the plain image, which every peer
         // decodes.  Dictionary frames go through
         // [`write_request_frame_dict`].
         WireEncoding::Binary | WireEncoding::BinaryDict => {
@@ -421,6 +383,15 @@ pub fn read_request_frame(
     Ok(Some((id, request, encoding, bytes)))
 }
 
+/// The error of a [`binary::DICT_MAGIC`] payload reaching a stateless
+/// decoder, which has no symbol table to resolve it against.
+fn stateless_dict_frame(context: &str) -> WireError {
+    WireError::Decode(DecodeError {
+        context: context.to_string(),
+        message: "dictionary frame on a connection without dictionary state".to_string(),
+    })
+}
+
 /// Decodes one request payload (already stripped of its length prefix),
 /// dispatching on the leading byte.  The frame-draining server loop uses
 /// this directly on payloads extracted from a [`FrameBuffer`].
@@ -428,10 +399,7 @@ pub fn decode_request_payload(
     payload: &[u8],
 ) -> Result<(u64, ShardRequest, WireEncoding), WireError> {
     if payload.first() == Some(&binary::DICT_MAGIC) {
-        return Err(WireError::Decode(DecodeError {
-            context: "ShardRequest".to_string(),
-            message: "dictionary frame on a connection without dictionary state".to_string(),
-        }));
+        return Err(stateless_dict_frame("ShardRequest"));
     }
     if payload.first() == Some(&binary::MAGIC) {
         let (id, request) = binary::decode_request(payload)?;
@@ -485,11 +453,7 @@ pub fn read_response_frame_dict(
         return Ok(None);
     }
     let bytes = scratch.len() as u64 + 4;
-    let (id, response) = if scratch.first() == Some(&binary::DICT_MAGIC) {
-        binary::decode_response_dict(scratch, rx)?
-    } else {
-        decode_response_payload(scratch)?
-    };
+    let (id, response) = decode_response_payload_dict(scratch, rx)?;
     Ok(Some((id, response, bytes)))
 }
 
@@ -499,10 +463,7 @@ pub fn read_response_frame_dict(
 /// arrive out of request order and are routed by id.
 pub fn decode_response_payload(payload: &[u8]) -> Result<(u64, ShardResponse), WireError> {
     if payload.first() == Some(&binary::DICT_MAGIC) {
-        return Err(WireError::Decode(DecodeError {
-            context: "ShardResponse".to_string(),
-            message: "dictionary frame on a connection without dictionary state".to_string(),
-        }));
+        return Err(stateless_dict_frame("ShardResponse"));
     }
     if payload.first() == Some(&binary::MAGIC) {
         Ok(binary::decode_response(payload)?)
@@ -602,12 +563,10 @@ impl FrameBuffer {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardRequest {
     /// "Which backends do you host?"  Carries the *client's* protocol
-    /// version (from v5 on; decoders default a missing field to 1), so a
-    /// reactor-fronted shard knows whether this connection may use
-    /// out-of-order completion and credits.
+    /// version, which must equal the shard's (see [`PROTOCOL_VERSION`]).
     Hello {
-        /// The client's [`PROTOCOL_VERSION`] (1 for pre-v5 peers, whose
-        /// hello carries no version field).
+        /// The client's [`PROTOCOL_VERSION`] (0 when a JSON hello carries
+        /// no version field, which no shard accepts).
         protocol: u64,
     },
     /// "Can `backend` structurally evaluate `spec`?"
@@ -625,8 +584,7 @@ pub enum ShardRequest {
         spec: WorkloadSpec,
     },
     /// "Evaluate every spec on `backend`, answer once with every result."
-    /// One pipelined exchange per micro-batch instead of one per spec —
-    /// requires a version ≥ 2 shard (see [`PROTOCOL_VERSION`]).
+    /// One pipelined exchange per micro-batch instead of one per spec.
     EvaluateBatch {
         /// Backend shard name.
         backend: String,
@@ -639,7 +597,7 @@ pub enum ShardRequest {
     /// effort and fire-and-forget: the server sends no reply to a cancel,
     /// and may still answer the target if it already completed — the
     /// client resolves the waiter locally and tolerates the late response.
-    /// Only meaningful on a multiplexed (v5, windowed) connection.
+    /// Only meaningful on a multiplexed (windowed) connection.
     Cancel {
         /// The id of the in-flight request to abandon.
         target: u64,
@@ -653,8 +611,6 @@ impl ShardRequest {
         match self {
             ShardRequest::Hello { protocol } => {
                 pairs.push(("kind".to_string(), JsonValue::Str("hello".to_string())));
-                // Pre-v5 decoders ignore unknown keys, so the client's
-                // version is invisible to old shards.
                 pairs.push(("protocol".to_string(), JsonValue::Int(*protocol)));
             }
             ShardRequest::Supports { backend, spec } => {
@@ -728,11 +684,12 @@ impl ShardRequest {
             Ok((backend, json::workload_spec_from_json(spec)?))
         };
         let request = match kind {
-            // Pre-v5 clients hello without a version field.
+            // A hello without a version field is a mismatch (version 0),
+            // answered as such rather than refused as malformed.
             "hello" => ShardRequest::Hello {
                 protocol: match doc.get("protocol") {
                     Some(JsonValue::Int(version)) => *version,
-                    _ => 1,
+                    _ => 0,
                 },
             },
             "supports" => {
@@ -786,8 +743,7 @@ impl ShardRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardResponse {
     /// The backends this shard hosts, in registration order, and the
-    /// protocol version the shard speaks (1 when the peer predates the
-    /// version field).
+    /// protocol version the shard speaks.
     Backends {
         /// Hosted backend names, in registration order.
         names: Vec<String>,
@@ -795,14 +751,13 @@ pub enum ShardResponse {
         protocol: u64,
         /// Path of a shared-memory ring segment this connection may switch
         /// to (see [`crate::shm`]); `None` when the shard does not offer
-        /// one (different host, transport disabled, or a pre-v4 peer).
+        /// one (different host, transport disabled, or a reactor shard).
         ring: Option<String>,
         /// Per-connection credit window for multiplexed requests: how many
         /// requests may be in flight on this connection at once, answered
         /// out of order and cancellable.  `None` when the connection stays
-        /// strict-FIFO (a pre-v5 peer on either side, or a thread-frontend
-        /// shard).  Advertising a window is the server's "multiplexing is
-        /// on" signal.
+        /// strict-FIFO (a thread-frontend shard).  Advertising a window is
+        /// the server's "multiplexing is on" signal.
         window: Option<u64>,
     },
     /// Whether the asked backend supports the asked spec.
@@ -840,12 +795,10 @@ impl ShardResponse {
                     JsonValue::Arr(names.iter().map(|n| JsonValue::Str(n.clone())).collect()),
                 ));
                 pairs.push(("protocol".to_string(), JsonValue::Int(*protocol)));
-                // Emitted only when offered; pre-v4 decoders ignore unknown
-                // keys, so the field is invisible to them either way.
+                // Both offers are emitted only when made.
                 if let Some(path) = ring {
                     pairs.push(("ring".to_string(), JsonValue::Str(path.clone())));
                 }
-                // Same story for the v5 credit window.
                 if let Some(credits) = window {
                     pairs.push(("window".to_string(), JsonValue::Int(*credits)));
                 }
@@ -925,17 +878,16 @@ impl ShardResponse {
                     })
                 }
             };
-            // Version-1 shards predate the `protocol` field.
+            // A missing version is a mismatch (version 0), like a hello
+            // request's.
             let protocol = match doc.get("protocol") {
                 Some(JsonValue::Int(version)) => *version,
-                _ => 1,
+                _ => 0,
             };
-            // Pre-v4 shards never advertise a ring segment.
             let ring = match doc.get("ring") {
                 Some(JsonValue::Str(path)) => Some(path.clone()),
                 _ => None,
             };
-            // Pre-v5 shards never advertise a credit window.
             let window = match doc.get("window") {
                 Some(JsonValue::Int(credits)) => Some(*credits),
                 _ => None,
@@ -1282,46 +1234,24 @@ mod tests {
     }
 
     #[test]
-    fn hello_without_protocol_field_is_a_version_one_shard() {
-        // What a pre-versioning shard emitted: backends, no protocol.
-        let doc = JsonValue::Obj(vec![
-            ("id".to_string(), JsonValue::Int(9)),
-            ("ok".to_string(), JsonValue::Bool(true)),
-            (
-                "backends".to_string(),
-                JsonValue::Arr(vec![JsonValue::Str("rsn-xnn".to_string())]),
-            ),
-        ]);
-        match ShardResponse::from_json(&doc).expect("legacy hello decodes") {
-            (
-                9,
-                ShardResponse::Backends {
-                    names,
-                    protocol,
-                    ring,
-                    window,
-                },
-            ) => {
-                assert_eq!(names, ["rsn-xnn"]);
-                assert_eq!(protocol, 1, "missing field must mean version 1");
-                assert_eq!(ring, None, "pre-v4 shards never offer a ring");
-                assert_eq!(window, None, "pre-v5 shards never offer a window");
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
+    fn hello_request_without_a_version_field_decodes_as_version_zero() {
+        // Zero matches no build, so the shard reports a mismatch instead of
+        // guessing an old client version.
+        let request = json::parse(r#"{"id": 1, "kind": "hello"}"#).expect("parses");
+        assert_eq!(
+            ShardRequest::from_json(&request).expect("decodes"),
+            (1, ShardRequest::Hello { protocol: 0 })
+        );
     }
 
     #[test]
-    fn hello_without_client_protocol_is_a_version_one_client() {
-        // What a pre-v5 client sends: id and kind, no version field.
-        let doc = JsonValue::Obj(vec![
-            ("id".to_string(), JsonValue::Int(1)),
-            ("kind".to_string(), JsonValue::Str("hello".to_string())),
-        ]);
-        match ShardRequest::from_json(&doc).expect("legacy hello decodes") {
-            (1, ShardRequest::Hello { protocol }) => {
-                assert_eq!(protocol, 1, "missing field must mean version 1");
-            }
+    fn hello_answer_without_a_version_field_decodes_as_version_zero() {
+        // Zero matches no build, so the client reports a mismatch instead of
+        // guessing an old shard version.
+        let response =
+            json::parse(r#"{"id": 2, "ok": true, "backends": ["rsn-xnn"]}"#).expect("parses");
+        match ShardResponse::from_json(&response).expect("decodes") {
+            (2, ShardResponse::Backends { protocol: 0, .. }) => {}
             other => panic!("unexpected decode: {other:?}"),
         }
     }

@@ -257,8 +257,8 @@ fn random_stats(rng: &mut u64) -> ServiceStats {
                 dict_hits: lcg(rng) % 1_000_000,
             })
             .collect(),
-        // Roughly half the sweep has a populated per-class section (the
-        // v6 trailing-optional addition), the rest the empty v5 shape.
+        // Roughly half the sweep has a populated per-class section, the
+        // rest the empty one the binary codec omits.
         classes: if lcg(rng).is_multiple_of(2) {
             Priority::ALL
                 .iter()

@@ -312,24 +312,25 @@ fn stats_round_trip_including_per_shard_counters() {
 }
 
 #[test]
-fn stats_without_pool_counters_decode_as_a_version_one_shard() {
-    // What a pre-pooling shard emits: no `remote_pools` field at all.
-    let legacy = r#"{
-  "submitted": 1,
-  "completed": 1,
-  "batches": 1,
-  "batched_requests": 1,
-  "cache_hits": 0,
-  "cache_misses": 1,
-  "inflight_merged": 0,
-  "evaluations": 1,
-  "eval_errors": 0,
-  "evictions": 0,
-  "per_shard": []
-}"#;
-    let decoded = json::stats_from_json(&parse(legacy).expect("parses")).expect("decodes");
-    assert!(decoded.remote_pools.is_empty());
-    assert_eq!(decoded.submitted, 1);
+fn stats_missing_a_section_are_a_decode_error() {
+    // Every section `stats_json` emits is required: a document without
+    // `classes` or `remote_pools` is not read as an empty one.
+    let full = stats_json(&ServiceStats::default());
+    json::stats_from_json(&full).expect("a complete document decodes");
+    for missing in ["classes", "remote_pools"] {
+        let JsonValue::Obj(pairs) = &full else {
+            panic!("stats document is an object")
+        };
+        let stripped = JsonValue::Obj(
+            pairs
+                .iter()
+                .filter(|(key, _)| key != missing)
+                .cloned()
+                .collect(),
+        );
+        let err = json::stats_from_json(&stripped).expect_err("must not decode");
+        assert!(err.to_string().contains(missing), "{missing}: {err}");
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Loopback integration tests of the epoll reactor front end and the
-//! protocol-5 multiplexed client.
+//! multiplexed client.
 //!
 //! The tests pin the contract the reactor exists for:
 //!
@@ -10,8 +10,6 @@
 //! * a `cancel` frame suppresses the target's response and frees its
 //!   credit slot without wedging the connection;
 //! * one reactor thread serves **≥256 concurrent connections**;
-//! * a v5 client against a v4-only shard falls back to strict FIFO,
-//!   byte-identically, and never emits a cancel frame;
 //! * killing a reactor shard mid-stream yields prompt
 //!   [`EvalError::Transport`] errors, never hangs.
 
@@ -19,16 +17,14 @@ use rsn_eval::{Backend, CharmBackend, EvalError, Evaluator, WorkloadSpec, XnnAna
 use rsn_serve::json::grid_json;
 use rsn_serve::remote::ShardServer;
 use rsn_serve::wire::{
-    decode_request_payload, decode_response_payload, write_request_frame, write_response_frame,
-    FrameBuffer, ShardRequest, ShardResponse, WireEncoding, PROTOCOL_VERSION,
+    decode_response_payload, write_request_frame, FrameBuffer, ShardRequest, ShardResponse,
+    WireEncoding, PROTOCOL_VERSION,
 };
 use rsn_serve::{
     BackendSelector, EvalService, FrontendPolicy, Priority, RemoteConfig, ServiceConfig,
     ShardRouter,
 };
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn reactor_config(workers: usize) -> ServiceConfig {
@@ -76,7 +72,7 @@ impl Backend for StaggeredSquare {
     }
 }
 
-/// A raw protocol-5 wire client: hand-written frames over one socket, so
+/// A raw multiplexing wire client: hand-written frames over one socket, so
 /// the tests control request ids and observe completion order directly.
 struct RawClient {
     stream: TcpStream,
@@ -345,112 +341,6 @@ fn one_reactor_thread_serves_hundreds_of_concurrent_connections() {
             "conn {i}: evaluation must succeed"
         );
     }
-}
-
-#[test]
-fn v5_client_against_v4_shard_stays_strict_fifo_byte_identically() {
-    // A hand-built protocol-4 shard: binary-capable, batch-capable, but
-    // strictly one-answer-per-question in arrival order, no window in its
-    // hello, and no idea what a cancel frame is.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind v4 shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let cancel_frames = Arc::new(AtomicU64::new(0));
-    let seen_cancels = Arc::clone(&cancel_frames);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let seen_cancels = Arc::clone(&seen_cancels);
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                let mut frames = FrameBuffer::new();
-                let mut payload = Vec::new();
-                let mut scratch = Vec::new();
-                loop {
-                    match frames.take_frame(&mut payload) {
-                        Ok(true) => {}
-                        Ok(false) => match frames.fill(&mut stream) {
-                            Ok(0) | Err(_) => return,
-                            Ok(_) => continue,
-                        },
-                        Err(_) => return,
-                    }
-                    let Ok((id, request, encoding)) = decode_request_payload(&payload) else {
-                        return;
-                    };
-                    let response = match request {
-                        ShardRequest::Hello { .. } => ShardResponse::Backends {
-                            names: vec!["rsn-xnn".to_string()],
-                            protocol: 4,
-                            ring: None,
-                            window: None,
-                        },
-                        ShardRequest::Cancel { .. } => {
-                            seen_cancels.fetch_add(1, Ordering::SeqCst);
-                            continue;
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(Arc::new(backend.evaluate(&spec)))
-                        }
-                        ShardRequest::EvaluateBatch { specs, .. } => ShardResponse::EvaluatedBatch(
-                            specs
-                                .iter()
-                                .map(|spec| Arc::new(backend.evaluate(spec)))
-                                .collect(),
-                        ),
-                        ShardRequest::Supports { spec, .. } => {
-                            ShardResponse::Supported(backend.supports(&spec))
-                        }
-                        ShardRequest::Stats => {
-                            ShardResponse::Rejected("no stats on protocol 4".to_string())
-                        }
-                    };
-                    // Strict FIFO: every answer goes out in arrival order.
-                    if write_response_frame(&mut stream, id, &response, encoding, &mut scratch)
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    let service = ShardRouter::new()
-        .remote(&addr)
-        .expect("v4 shard reachable")
-        .build()
-        .expect("unique names");
-    let specs: Vec<WorkloadSpec> = (1..=12usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 96 })
-        .collect();
-    let grid = service.evaluate_grid(&specs);
-
-    // Byte-identical emission through the strict-FIFO fallback.
-    let local = Evaluator::empty().with_backend(Box::new(XnnAnalyticBackend::new()));
-    assert_eq!(
-        grid_json(&["rsn-xnn".to_string()], &specs, &grid).to_pretty(),
-        grid_json(
-            &["rsn-xnn".to_string()],
-            &specs,
-            &local.evaluate_grid(&specs)
-        )
-        .to_pretty(),
-        "v4 fallback grid must be byte-identical"
-    );
-
-    // No window was negotiated, so the client never multiplexed — and it
-    // never sent the old shard a frame it cannot parse.
-    let pool = service.stats().pool(&addr).expect("pool").clone();
-    assert_eq!(
-        pool.reactor_wakeups, 0,
-        "a v4 peer must keep the client on blocking FIFO exchanges: {pool:?}"
-    );
-    assert_eq!(pool.inflight_per_conn, 0, "no multiplexed depth: {pool:?}");
-    assert_eq!(
-        cancel_frames.load(Ordering::SeqCst),
-        0,
-        "cancel frames must never reach a v4 shard"
-    );
 }
 
 #[test]

@@ -14,6 +14,7 @@ use rsn_eval::{Backend, CharmBackend, EvalError, Evaluator, WorkloadSpec, XnnAna
 use rsn_serve::json::{grid_json, stats_json};
 use rsn_serve::remote::{RemoteBackend, ShardServer};
 use rsn_serve::topology::{topology_json, Topology};
+use rsn_serve::wire::{ShardRequest, ShardResponse, PROTOCOL_VERSION};
 use rsn_serve::{
     BackendSelector, EvalService, Priority, RemoteShardDecl, ServiceConfig, ShardRouter,
 };
@@ -243,9 +244,9 @@ fn pooled_connections_amortise_dials_and_pipeline_micro_batches() {
     );
     assert_eq!(pool.redials, 0, "healthy shard: no re-dials: {pool:?}");
 
-    // The negotiated protocol is modern on both ends.
+    // The handshake settles on exactly this build's protocol.
     let remotes = RemoteBackend::connect_all(&addr).expect("handshake");
-    assert!(remotes[0].pool().supports_batch());
+    assert_eq!(remotes[0].pool().protocol(), Some(PROTOCOL_VERSION));
 }
 
 /// A backend whose every evaluation sleeps: total batch time scales with
@@ -592,83 +593,6 @@ fn topology_with_unknown_local_backend_is_rejected() {
 }
 
 #[test]
-fn version_one_shards_fall_back_to_per_spec_exchanges() {
-    // A protocol-1 shard: answers hello WITHOUT the protocol field and
-    // rejects evaluate_batch, exactly like the pre-pooling server did.
-    use rsn_serve::json::JsonValue;
-    use rsn_serve::wire::{read_frame, write_frame, ShardRequest, ShardResponse};
-    use std::net::TcpListener;
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind legacy shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                while let Ok(Some(doc)) = read_frame(&mut stream) {
-                    let (id, request) = match ShardRequest::from_json(&doc) {
-                        Ok(decoded) => decoded,
-                        Err(e) => {
-                            // What an old server does with an unknown kind.
-                            let _ = write_frame(
-                                &mut stream,
-                                &ShardResponse::Rejected(e.to_string()).to_json(0),
-                            );
-                            continue;
-                        }
-                    };
-                    let response = match request {
-                        ShardRequest::Hello { .. } => {
-                            // Hand-built hello with no protocol field.
-                            let legacy = JsonValue::Obj(vec![
-                                ("id".to_string(), JsonValue::Int(id)),
-                                ("ok".to_string(), JsonValue::Bool(true)),
-                                (
-                                    "backends".to_string(),
-                                    JsonValue::Arr(vec![JsonValue::Str("rsn-xnn".to_string())]),
-                                ),
-                            ]);
-                            let _ = write_frame(&mut stream, &legacy);
-                            continue;
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(std::sync::Arc::new(backend.evaluate(&spec)))
-                        }
-                        _ => ShardResponse::Rejected("unsupported on protocol 1".to_string()),
-                    };
-                    if write_frame(&mut stream, &response.to_json(id)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    let remotes = RemoteBackend::connect_all(&addr).expect("hello against legacy shard");
-    assert_eq!(remotes.len(), 1);
-    assert_eq!(remotes[0].pool().protocol(), Some(1));
-    assert!(!remotes[0].pool().supports_batch());
-
-    // evaluate_many must fall back to per-spec exchanges and still answer
-    // every spec correctly (and identically to a local evaluation).
-    let specs: Vec<WorkloadSpec> = (1..=4usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 128 })
-        .collect();
-    let results = remotes[0].evaluate_many(&specs);
-    assert_eq!(results.len(), specs.len());
-    let local = XnnAnalyticBackend::new();
-    for (spec, result) in specs.iter().zip(&results) {
-        assert_eq!(
-            result.as_ref().expect("legacy shard evaluates"),
-            &local.evaluate(spec).expect("local evaluates")
-        );
-    }
-    // No batch exchange was attempted against the old shard.
-    assert_eq!(remotes[0].pool().stats().pipelined_batches, 0);
-}
-
-#[test]
 fn shardd_binary_speaks_the_protocol() {
     use std::io::{BufRead, BufReader};
     use std::process::{Command, Stdio};
@@ -731,124 +655,6 @@ fn shardd_binary_speaks_the_protocol() {
         eprintln!("shardd log kept at {}", log_path.display());
         std::panic::resume_unwind(panic);
     }
-}
-
-#[test]
-fn version_two_shards_negotiate_json_fallback_byte_identically() {
-    // A protocol-2 shard: speaks only JSON (it predates the binary codec)
-    // but does understand evaluate_batch.  A v3 client under the default
-    // `auto` encoding must learn this from the hello handshake and keep
-    // every subsequent frame JSON — never poking a binary frame at the old
-    // peer — while the results stay identical to a local evaluation.
-    use rsn_serve::json::JsonValue;
-    use rsn_serve::wire::{read_frame, write_frame, ShardRequest, ShardResponse};
-    use std::net::TcpListener;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc as StdArc;
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind legacy shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    // Counts frames whose payload did not parse as a JSON request — a v2
-    // shard would reject those, so the client must send none.
-    let non_json_frames = StdArc::new(AtomicU64::new(0));
-    let seen_binary = StdArc::clone(&non_json_frames);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let seen_binary = StdArc::clone(&seen_binary);
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                loop {
-                    // `read_frame` is the v2 code path: it parses the
-                    // payload as JSON and errors on anything else.
-                    let doc = match read_frame(&mut stream) {
-                        Ok(Some(doc)) => doc,
-                        Ok(None) => return,
-                        Err(_) => {
-                            seen_binary.fetch_add(1, Ordering::SeqCst);
-                            let _ = write_frame(
-                                &mut stream,
-                                &ShardResponse::Rejected("not JSON".to_string()).to_json(0),
-                            );
-                            return;
-                        }
-                    };
-                    let Ok((id, request)) = ShardRequest::from_json(&doc) else {
-                        return;
-                    };
-                    let response = match request {
-                        ShardRequest::Hello { .. } => {
-                            // Protocol 2: batch yes, binary no.
-                            let hello = JsonValue::Obj(vec![
-                                ("id".to_string(), JsonValue::Int(id)),
-                                ("ok".to_string(), JsonValue::Bool(true)),
-                                (
-                                    "backends".to_string(),
-                                    JsonValue::Arr(vec![JsonValue::Str("rsn-xnn".to_string())]),
-                                ),
-                                ("protocol".to_string(), JsonValue::Int(2)),
-                            ]);
-                            let _ = write_frame(&mut stream, &hello);
-                            continue;
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(std::sync::Arc::new(backend.evaluate(&spec)))
-                        }
-                        ShardRequest::EvaluateBatch { specs, .. } => ShardResponse::EvaluatedBatch(
-                            specs
-                                .iter()
-                                .map(|spec| std::sync::Arc::new(backend.evaluate(spec)))
-                                .collect(),
-                        ),
-                        ShardRequest::Supports { spec, .. } => {
-                            ShardResponse::Supported(backend.supports(&spec))
-                        }
-                        ShardRequest::Stats | ShardRequest::Cancel { .. } => {
-                            ShardResponse::Rejected("unsupported on protocol 2".to_string())
-                        }
-                    };
-                    if write_frame(&mut stream, &response.to_json(id)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    // Default config = `auto` encoding: the v3 client must downgrade.
-    let remotes = RemoteBackend::connect_all(&addr).expect("hello against v2 shard");
-    assert_eq!(remotes[0].pool().protocol(), Some(2));
-    assert!(remotes[0].pool().supports_batch(), "v2 shards pipeline");
-    assert!(
-        !remotes[0].pool().supports_binary(),
-        "v2 shards must not be sent binary frames"
-    );
-
-    let specs: Vec<WorkloadSpec> = (1..=6usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 96 })
-        .collect();
-    let results = remotes[0].evaluate_many(&specs);
-    let local = XnnAnalyticBackend::new();
-    for (spec, result) in specs.iter().zip(&results) {
-        assert_eq!(
-            result.as_ref().expect("v2 shard evaluates"),
-            &local.evaluate(spec).expect("local evaluates"),
-            "fallback result diverged on {}",
-            spec.name()
-        );
-    }
-    // Byte-identical emission through the JSON fallback path.
-    let remote_doc =
-        rsn_serve::json::grid_json(&["rsn-xnn".to_string()], &specs, &[results]).to_pretty();
-    let local_results: Vec<Result<rsn_eval::EvalReport, EvalError>> =
-        specs.iter().map(|s| local.evaluate(s)).collect();
-    let local_doc =
-        rsn_serve::json::grid_json(&["rsn-xnn".to_string()], &specs, &[local_results]).to_pretty();
-    assert_eq!(remote_doc, local_doc);
-    // The batch pipelined (v2 capability) and no binary frame ever left
-    // the client (v3 capability correctly withheld).
-    assert!(remotes[0].pool().stats().pipelined_batches > 0);
-    assert_eq!(non_json_frames.load(Ordering::SeqCst), 0);
 }
 
 #[test]
@@ -932,126 +738,6 @@ fn binary_encoding_negotiates_and_shrinks_the_wire() {
 }
 
 #[test]
-fn version_six_shards_stay_on_plain_binary_byte_identically() {
-    // A protocol-6 shard: full binary codec, no symbol dictionaries.  A v7
-    // client under the default `auto` encoding must learn this from the
-    // hello handshake and keep every frame a plain 0xB3 image — a 0xB7
-    // dictionary frame would be rejected by the old decoder — and those
-    // plain images must be byte-identical to the v6 encoder's own output.
-    use rsn_serve::binary;
-    use rsn_serve::wire::{
-        decode_request_payload, write_response_frame, FrameBuffer, ShardRequest, ShardResponse,
-        WireEncoding,
-    };
-    use std::net::TcpListener;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc as StdArc;
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind v6 shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let dict_frames = StdArc::new(AtomicU64::new(0));
-    let binary_frames = StdArc::new(AtomicU64::new(0));
-    let seen_dict = StdArc::clone(&dict_frames);
-    let seen_binary = StdArc::clone(&binary_frames);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let seen_dict = StdArc::clone(&seen_dict);
-            let seen_binary = StdArc::clone(&seen_binary);
-            std::thread::spawn(move || {
-                let backend = XnnAnalyticBackend::new();
-                let mut frames = FrameBuffer::new();
-                let mut payload = Vec::new();
-                let mut scratch = Vec::new();
-                loop {
-                    match frames.take_frame(&mut payload) {
-                        Ok(true) => {}
-                        Ok(false) => match frames.fill(&mut stream) {
-                            Ok(0) | Err(_) => return,
-                            Ok(_) => continue,
-                        },
-                        Err(_) => return,
-                    }
-                    if payload.first() == Some(&binary::DICT_MAGIC) {
-                        // A real v6 decoder would choke right here.
-                        seen_dict.fetch_add(1, Ordering::SeqCst);
-                        return;
-                    }
-                    let Ok((id, request, encoding)) = decode_request_payload(&payload) else {
-                        return;
-                    };
-                    if encoding == WireEncoding::Binary {
-                        seen_binary.fetch_add(1, Ordering::SeqCst);
-                        // Pin: the v7 client's plain frames are byte-identical
-                        // to what the v6 encoder itself produces.
-                        let mut expected = Vec::new();
-                        binary::encode_request(&mut expected, id, &request);
-                        assert_eq!(payload, expected, "plain binary request image drifted");
-                    }
-                    let response = match request {
-                        ShardRequest::Hello { .. } => ShardResponse::Backends {
-                            names: vec!["rsn-xnn".to_string()],
-                            protocol: 6,
-                            ring: None,
-                            window: None,
-                        },
-                        ShardRequest::Supports { spec, .. } => {
-                            ShardResponse::Supported(backend.supports(&spec))
-                        }
-                        ShardRequest::Evaluate { spec, .. } => {
-                            ShardResponse::Evaluated(std::sync::Arc::new(backend.evaluate(&spec)))
-                        }
-                        ShardRequest::EvaluateBatch { specs, .. } => ShardResponse::EvaluatedBatch(
-                            specs
-                                .iter()
-                                .map(|spec| std::sync::Arc::new(backend.evaluate(spec)))
-                                .collect(),
-                        ),
-                        _ => ShardResponse::Rejected("unsupported on protocol 6".to_string()),
-                    };
-                    if write_response_frame(&mut stream, id, &response, encoding, &mut scratch)
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    let remotes = RemoteBackend::connect_all(&addr).expect("hello against v6 shard");
-    assert_eq!(remotes[0].pool().protocol(), Some(6));
-    let specs: Vec<WorkloadSpec> = (1..=6usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 96 })
-        .collect();
-    let local = XnnAnalyticBackend::new();
-    for _ in 0..2 {
-        let results = remotes[0].evaluate_many(&specs);
-        for (spec, result) in specs.iter().zip(&results) {
-            assert_eq!(
-                result.as_ref().expect("v6 shard evaluates"),
-                &local.evaluate(spec).expect("local evaluates")
-            );
-        }
-    }
-    let stats = remotes[0].pool().stats();
-    assert_eq!(
-        stats.dict_defines, 0,
-        "no dictionary state against a v6 peer"
-    );
-    assert_eq!(stats.dict_hits, 0, "no dictionary state against a v6 peer");
-    assert_eq!(
-        dict_frames.load(Ordering::SeqCst),
-        0,
-        "a 0xB7 frame reached the v6 shard"
-    );
-    assert!(
-        binary_frames.load(Ordering::SeqCst) > 0,
-        "the plain binary path was never exercised"
-    );
-}
-
-#[test]
 fn dict_encoding_negotiates_shrinks_the_wire_and_counts() {
     use rsn_serve::{EncodingPolicy, RemoteConfig};
 
@@ -1130,4 +816,130 @@ fn dict_encoding_negotiates_shrinks_the_wire_and_counts() {
         dict_stats.bytes_sent,
         plain_stats.bytes_sent
     );
+}
+
+#[test]
+fn version_six_shards_are_refused_with_a_named_mismatch() {
+    // A hand-built shard that answers every hello as protocol 6.  The
+    // client must refuse it loudly — no fallback, and no evaluation frame
+    // ever sent to it.
+    use rsn_serve::wire::{read_request_frame, write_response_frame, WireError};
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind v6 shard");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let leaked = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&leaked);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || {
+                let mut scratch = Vec::new();
+                let mut out = Vec::new();
+                loop {
+                    let (id, request, encoding) =
+                        match read_request_frame(&mut stream, &mut scratch) {
+                            Ok(Some((id, request, encoding, _))) => (id, request, encoding),
+                            Ok(None) => return,
+                            Err(_) => {
+                                seen.fetch_add(1, Ordering::SeqCst);
+                                return;
+                            }
+                        };
+                    let response = match request {
+                        ShardRequest::Hello { .. } => ShardResponse::Backends {
+                            names: vec!["rsn-xnn".to_string()],
+                            protocol: 6,
+                            ring: None,
+                            window: None,
+                        },
+                        _ => {
+                            seen.fetch_add(1, Ordering::SeqCst);
+                            ShardResponse::Rejected("not a hello".to_string())
+                        }
+                    };
+                    if write_response_frame(&mut stream, id, &response, encoding, &mut out).is_err()
+                    {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+
+    let names_both = |text: &str| text.contains("speaks 7") && text.contains("sent 6");
+    let error = RemoteBackend::connect_all(&addr).expect_err("a v6 shard must be refused");
+    assert!(matches!(error, WireError::ProtocolMismatch(6)), "{error}");
+    assert!(names_both(&error.to_string()), "{error}");
+
+    // Clients built without a handshake fail every spec on first use.
+    let remote = RemoteBackend::named(&addr, "rsn-xnn");
+    let specs: Vec<WorkloadSpec> = (1..=4usize)
+        .map(|n| WorkloadSpec::SquareGemm { n: n * 128 })
+        .collect();
+    let mut results = remote.evaluate_many(&specs);
+    results.push(remote.evaluate(&specs[0]));
+    assert_eq!(results.len(), specs.len() + 1);
+    for result in &results {
+        match result {
+            Err(EvalError::Transport { detail, .. }) => assert!(names_both(detail), "{detail}"),
+            other => panic!("expected a Transport mismatch error, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        remote.pool().protocol(),
+        None,
+        "a mismatch is not a handshake"
+    );
+    assert_eq!(remote.pool().stats().pipelined_batches, 0);
+    assert_eq!(
+        leaked.load(Ordering::SeqCst),
+        0,
+        "a frame other than hello reached the v6 shard"
+    );
+}
+
+#[test]
+fn mismatched_json_hellos_are_rejected_on_both_front_ends() {
+    use rsn_serve::json::parse;
+    use rsn_serve::wire::{read_frame, write_frame};
+    use rsn_serve::FrontendPolicy;
+    use std::net::TcpStream;
+
+    for frontend in [FrontendPolicy::Threads, FrontendPolicy::Reactor] {
+        let server = ShardServer::bind_with_frontend(
+            "127.0.0.1:0",
+            EvalService::new(paper_backends()),
+            frontend,
+        )
+        .expect("bind shard");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut exchange = |hello: &str| {
+            write_frame(&mut stream, &parse(hello).expect("hello parses")).expect("send hello");
+            let answer = read_frame(&mut stream).expect("read answer");
+            ShardResponse::from_json(&answer.expect("shard answered")).expect("answer decodes")
+        };
+        for (hello, sent) in [
+            (r#"{"id": 1, "kind": "hello", "protocol": 6}"#, 6),
+            (r#"{"id": 1, "kind": "hello"}"#, 0),
+        ] {
+            let expected = format!("protocol mismatch: shard speaks 7, peer sent {sent}");
+            assert_eq!(
+                exchange(hello),
+                (1, ShardResponse::Rejected(expected)),
+                "{frontend}"
+            );
+        }
+        // The connection survives the rejections: a matching hello works.
+        match exchange(r#"{"id": 2, "kind": "hello", "protocol": 7}"#) {
+            (2, ShardResponse::Backends { protocol: 7, .. }) => {}
+            other => panic!("{frontend}: expected backends, got {other:?}"),
+        }
+    }
 }

@@ -66,25 +66,38 @@ fn unsupported_workloads_are_rejected_not_fabricated() {
 #[test]
 fn roofline_is_a_lower_bound_on_every_vck190_backend() {
     let evaluator = Evaluator::new();
-    let workload = WorkloadSpec::EncoderLayer {
-        cfg: BertConfig::bert_large(512, 6),
-    };
-    let reports = evaluator.evaluate_supported(&workload);
-    let roofline = reports
-        .iter()
-        .find(|(name, _)| name == "roofline-bound")
-        .map(|(_, r)| r.latency_s.unwrap())
-        .expect("roofline evaluated");
-    for (name, report) in &reports {
-        // GPUs are different hardware; the VCK190 bound does not apply.
-        if name.starts_with("gpu ") {
-            continue;
+    // A fixed grid: BERT-Large encoder layers over sequence length and
+    // batch, and square GEMMs from 64 to 8192.
+    let mut workloads = Vec::new();
+    for seq in [64, 128, 256, 512] {
+        for batch in [1, 2, 6, 8, 24] {
+            workloads.push(WorkloadSpec::EncoderLayer {
+                cfg: BertConfig::bert_large(seq, batch),
+            });
         }
-        let latency = report.latency_s.expect("latency present");
-        assert!(
-            latency >= roofline * 0.999,
-            "{name}: {latency} below roofline bound {roofline}"
-        );
+    }
+    for n in [64, 256, 1024, 4096, 8192] {
+        workloads.push(WorkloadSpec::SquareGemm { n });
+    }
+    for workload in &workloads {
+        let reports = evaluator.evaluate_supported(workload);
+        let roofline = reports
+            .iter()
+            .find(|(name, _)| name == "roofline-bound")
+            .map(|(_, r)| r.latency_s.unwrap())
+            .unwrap_or_else(|| panic!("roofline evaluated for {}", workload.name()));
+        for (name, report) in &reports {
+            // GPUs are different hardware; the VCK190 bound does not apply.
+            if name.starts_with("gpu ") {
+                continue;
+            }
+            let latency = report.latency_s.expect("latency present");
+            assert!(
+                latency >= roofline * 0.999,
+                "{name} on {}: {latency} below roofline bound {roofline}",
+                workload.name()
+            );
+        }
     }
 }
 
