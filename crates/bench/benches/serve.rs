@@ -367,14 +367,6 @@ fn emit_bench_json() {
                 ("ring_exchanges", JsonValue::Int(pool.ring_exchanges)),
                 ("reactor_wakeups", JsonValue::Int(pool.reactor_wakeups)),
                 ("inflight_per_conn", JsonValue::Int(pool.inflight_per_conn)),
-                ("hedges_launched", JsonValue::Int(pool.hedges_launched)),
-                ("hedges_won", JsonValue::Int(pool.hedges_won)),
-                ("failovers", JsonValue::Int(pool.failovers)),
-                ("breaker_trips", JsonValue::Int(pool.breaker_trips)),
-                (
-                    "breaker_fast_fails",
-                    JsonValue::Int(pool.breaker_fast_fails),
-                ),
                 ("dict_defines", JsonValue::Int(pool.dict_defines)),
                 ("dict_hits", JsonValue::Int(pool.dict_hits)),
             ]),

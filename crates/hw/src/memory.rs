@@ -47,10 +47,6 @@ pub struct MemoryChannelModel {
     kind: MemoryKind,
     read_bw: f64,
     write_bw: f64,
-    /// Fraction of peak retained when accesses are strided instead of the
-    /// blocked layout RSN-XNN stores off-chip (§5.3 uses a 128×64 blocked
-    /// layout precisely to avoid this penalty).
-    strided_efficiency: f64,
 }
 
 impl MemoryChannelModel {
@@ -60,7 +56,6 @@ impl MemoryChannelModel {
             kind: MemoryKind::Ddr,
             read_bw: spec.ddr_read_bw,
             write_bw: spec.ddr_write_bw,
-            strided_efficiency: 0.6,
         }
     }
 
@@ -71,7 +66,6 @@ impl MemoryChannelModel {
             read_bw: spec.lpddr_read_bw,
             // LPDDR is only read in RSN-XNN; writes assume symmetric speed.
             write_bw: spec.lpddr_read_bw,
-            strided_efficiency: 0.6,
         }
     }
 
@@ -82,7 +76,6 @@ impl MemoryChannelModel {
             kind: self.kind,
             read_bw: self.read_bw * factor,
             write_bw: self.write_bw * factor,
-            strided_efficiency: self.strided_efficiency,
         }
     }
 
@@ -109,11 +102,6 @@ impl MemoryChannelModel {
     /// Time to write `bytes` with a contiguous / blocked layout.
     pub fn write_time_s(&self, bytes: f64) -> f64 {
         bytes / self.write_bw
-    }
-
-    /// Time to read `bytes` with a strided (row-major, non-blocked) layout.
-    pub fn strided_read_time_s(&self, bytes: f64) -> f64 {
-        self.read_time_s(bytes) / self.strided_efficiency
     }
 
     /// Busy time of the channel for a phase that loads `load_bytes` and
@@ -164,12 +152,6 @@ mod tests {
         assert!((m.read_time_s(21.0e9) - 1.0).abs() < 1e-9);
         assert!((m.write_time_s(23.5e9) - 1.0).abs() < 1e-9);
         assert_eq!(m.kind(), MemoryKind::Ddr);
-    }
-
-    #[test]
-    fn strided_access_is_slower() {
-        let m = ddr();
-        assert!(m.strided_read_time_s(1e9) > m.read_time_s(1e9));
     }
 
     #[test]

@@ -38,7 +38,7 @@ const USAGE: &str = "usage: shardd [--topology FILE] [--listen ADDR] [--backends
                      \x20                    and binary_nodict forces the symbol dictionaries off\n\
                      --transport POLICY   shared-memory ring offers: auto offers one to\n\
                      \x20                    loopback peers (default), socket never offers,\n\
-                     \x20                    shm offers to every peer (same-host fleets behind\n\
+                     \x20                    shm offers to every peer (same-host shards behind\n\
                      \x20                    a non-loopback address)\n\
                      --frontend POLICY    connection front end: threads serves each connection\n\
                      \x20                    from a blocking thread (default), reactor serves\n\

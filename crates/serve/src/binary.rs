@@ -1298,11 +1298,6 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
         put_varint(out, pool.ring_exchanges);
         put_varint(out, pool.reactor_wakeups);
         put_varint(out, pool.inflight_per_conn);
-        put_varint(out, pool.hedges_launched);
-        put_varint(out, pool.hedges_won);
-        put_varint(out, pool.failovers);
-        put_varint(out, pool.breaker_trips);
-        put_varint(out, pool.breaker_fast_fails);
         put_varint(out, pool.dict_defines);
         put_varint(out, pool.dict_hits);
     }
@@ -1328,7 +1323,7 @@ pub fn encode_stats(out: &mut Vec<u8>, stats: &ServiceStats) {
 
 /// Counter varints per pool record (the record's field-count prefix).  A
 /// record with any other count is a decode error.
-const POOL_FIELD_COUNT: usize = 20;
+const POOL_FIELD_COUNT: usize = 15;
 
 fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
     let mut stats = ServiceStats {
@@ -1378,13 +1373,8 @@ fn read_stats(r: &mut Reader<'_>) -> Result<ServiceStats, DecodeError> {
             ring_exchanges: fields[10],
             reactor_wakeups: fields[11],
             inflight_per_conn: fields[12],
-            hedges_launched: fields[13],
-            hedges_won: fields[14],
-            failovers: fields[15],
-            breaker_trips: fields[16],
-            breaker_fast_fails: fields[17],
-            dict_defines: fields[18],
-            dict_hits: fields[19],
+            dict_defines: fields[13],
+            dict_hits: fields[14],
         });
     }
     // The per-class section is omitted when empty (see `encode_stats`).
@@ -1720,14 +1710,14 @@ mod tests {
         let mut image = Vec::new();
         encode_stats(&mut image, &stats);
         assert_eq!(decode_stats(&image).expect("decodes"), stats);
-        // An 18-field record: the count byte drops by two, and so do the
+        // A 13-field record: the count byte drops by two, and so do the
         // trailing counters (every counter is zero, one byte each).
         let count_at = image.len() - POOL_FIELD_COUNT - 1;
         assert_eq!(image[count_at], POOL_FIELD_COUNT as u8);
-        image[count_at] = 18;
+        image[count_at] = 13;
         image.truncate(image.len() - 2);
         let err = decode_stats(&image).expect_err("short record must fail");
-        assert!(err.message.contains("18 fields"), "{err}");
+        assert!(err.message.contains("13 fields"), "{err}");
     }
 
     #[test]

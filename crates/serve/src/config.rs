@@ -261,39 +261,6 @@ impl Default for RemoteConfig {
     }
 }
 
-/// Circuit-breaker tuning for one replica of a replicated backend (the
-/// topology's `replicas[].breaker` object; see [`crate::fleet`]).
-///
-/// Each replica keeps a rolling window of its last
-/// [`window`](Self::window) exchange outcomes.  When
-/// [`max_failures`](Self::max_failures) or more of them are failures the
-/// breaker *trips open*: the fleet router stops offering that replica
-/// work (counted as
-/// [`breaker_fast_fails`](crate::ServiceStats::remote_pools) on skip) and
-/// siblings absorb its share.  After [`cooldown`](Self::cooldown) the
-/// breaker goes *half-open* and the next checkout runs the pool's hello
-/// health check as a probe: success closes the breaker, failure re-opens
-/// it for another cooldown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Rolling outcome-window length (exchanges remembered per replica).
-    pub window: usize,
-    /// Failures within the window that trip the breaker open.
-    pub max_failures: usize,
-    /// How long a tripped breaker stays open before the half-open probe.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            window: 8,
-            max_failures: 4,
-            cooldown: Duration::from_secs(1),
-        }
-    }
-}
-
 impl ServiceConfig {
     /// A configuration with the given batch size bound and the default
     /// deadline/worker settings.
@@ -359,16 +326,6 @@ mod tests {
     fn with_max_batch_clamps_zero() {
         assert_eq!(ServiceConfig::with_max_batch(0).max_batch, 1);
         assert_eq!(ServiceConfig::with_max_batch(64).max_batch, 64);
-    }
-
-    #[test]
-    fn breaker_defaults_are_consistent() {
-        let breaker = BreakerConfig::default();
-        // The trip threshold must be reachable within the window, and a
-        // tripped breaker must actually rest before its half-open probe.
-        assert!(breaker.max_failures <= breaker.window);
-        assert!(breaker.max_failures >= 1);
-        assert!(breaker.cooldown > Duration::ZERO);
     }
 
     #[test]

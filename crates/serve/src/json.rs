@@ -1227,14 +1227,6 @@ pub fn stats_json(stats: &ServiceStats) -> JsonValue {
                             ("ring_exchanges", JsonValue::Int(pool.ring_exchanges)),
                             ("reactor_wakeups", JsonValue::Int(pool.reactor_wakeups)),
                             ("inflight_per_conn", JsonValue::Int(pool.inflight_per_conn)),
-                            ("hedges_launched", JsonValue::Int(pool.hedges_launched)),
-                            ("hedges_won", JsonValue::Int(pool.hedges_won)),
-                            ("failovers", JsonValue::Int(pool.failovers)),
-                            ("breaker_trips", JsonValue::Int(pool.breaker_trips)),
-                            (
-                                "breaker_fast_fails",
-                                JsonValue::Int(pool.breaker_fast_fails),
-                            ),
                             ("dict_defines", JsonValue::Int(pool.dict_defines)),
                             ("dict_hits", JsonValue::Int(pool.dict_hits)),
                         ])
@@ -1305,11 +1297,6 @@ pub fn stats_from_json(value: &JsonValue) -> Result<ServiceStats, DecodeError> {
                 ring_exchanges: pool_int("ring_exchanges")?,
                 reactor_wakeups: pool_int("reactor_wakeups")?,
                 inflight_per_conn: pool_int("inflight_per_conn")?,
-                hedges_launched: pool_int("hedges_launched")?,
-                hedges_won: pool_int("hedges_won")?,
-                failovers: pool_int("failovers")?,
-                breaker_trips: pool_int("breaker_trips")?,
-                breaker_fast_fails: pool_int("breaker_fast_fails")?,
                 dict_defines: pool_int("dict_defines")?,
                 dict_hits: pool_int("dict_hits")?,
             })

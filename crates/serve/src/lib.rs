@@ -94,25 +94,9 @@
 //! it runs, so grids and rendered tables are byte-identical either way —
 //! the loopback integration tests pin this.
 
-//! ## Fleet resilience
-//!
-//! [`fleet`] turns independent shards into replicated groups: a topology
-//! `replicas[]` entry maps one backend name to N interchangeable shards.
-//! A [`FleetBackend`] routes each workload spec to a
-//! replica by rendezvous hash (cache locality), fails over to a sibling
-//! when a replica dies mid-exchange, hedges slow exchanges against a
-//! second replica after a latency budget, and trips a per-replica circuit
-//! breaker on a rolling error window.  A
-//! [`FleetController`] re-reads the topology file
-//! while the service runs ([`ShardRouter::watch`]) and applies the diff in
-//! place — add shards, drain removed ones — without a restart.  The whole
-//! layer is observable through the hedge/failover/breaker counters in
-//! [`PoolStats`].
-
 pub mod binary;
 mod cache;
 pub mod config;
-pub mod fleet;
 mod fnv;
 pub mod json;
 pub mod pool;
@@ -125,13 +109,10 @@ pub mod stats;
 pub mod topology;
 pub mod wire;
 
-pub use config::{
-    BreakerConfig, EncodingPolicy, FrontendPolicy, RemoteConfig, ServiceConfig, TransportPolicy,
-};
-pub use fleet::{FleetBackend, FleetController};
+pub use config::{EncodingPolicy, FrontendPolicy, RemoteConfig, ServiceConfig, TransportPolicy};
 pub use pool::ConnectionPool;
 pub use remote::{RemoteBackend, ShardServer};
 pub use request::{BackendSelector, EvalRequest, EvalResponse, Priority, ResponseHandle};
 pub use service::{EvalService, RouterError, ShardRouter};
 pub use stats::{ClassStats, LatencyHistogram, PoolStats, ServiceStats, ShardStats};
-pub use topology::{RemoteShardDecl, ReplicaGroupDecl, Topology, TopologyError};
+pub use topology::{RemoteShardDecl, Topology, TopologyError};

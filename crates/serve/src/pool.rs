@@ -35,35 +35,12 @@
 //! individual connections — it survives connection check-in and is shared
 //! by every [`RemoteBackend`](crate::remote::RemoteBackend) routed through
 //! this shard address.
-//!
-//! # Pools in a replicated fleet
-//!
-//! When a topology `replicas` group maps a backend onto several shards,
-//! each member shard keeps its own `ConnectionPool` and the fleet layer
-//! ([`crate::fleet`]) routes between them.  Two pieces of per-pool state
-//! exist for that layer:
-//!
-//! * every successful exchange's wall time feeds a latency histogram, and
-//!   [`observed_exchange_p95`](ConnectionPool::observed_exchange_p95)
-//!   exposes its p95 — the default **hedge budget** (how long the fleet
-//!   waits before racing a sibling replica) when the topology does not
-//!   pin one;
-//! * the `hedges_launched`/`hedges_won`/`failovers`/`breaker_trips`/
-//!   `breaker_fast_fails` counters record what the fleet layer did with
-//!   this pool, surfaced through the same
-//!   [`ServiceStats::remote_pools`](crate::ServiceStats::remote_pools)
-//!   snapshot as the transport counters.
-//!
-//! Construction never dials ([`ConnectionPool::new`] is lazy — the first
-//! exchange pays the connect), so a pool for a currently-dead replica can
-//! sit in a fleet, breaker-open, until the shard comes back: live
-//! topology reload adds and drains pools without restarting anything.
 
 use crate::binary::ConnCodec;
 use crate::config::{EncodingPolicy, RemoteConfig, TransportPolicy};
 use crate::reactor::Multiplexer;
 use crate::shm::{RingConn, Segment};
-use crate::stats::{LatencyRecorder, PoolStats};
+use crate::stats::PoolStats;
 use crate::wire::{
     read_response_frame_dict, write_request_frame_dict, ShardRequest, ShardResponse, WireEncoding,
     WireError, PROTOCOL_VERSION,
@@ -231,26 +208,12 @@ pub(crate) struct PoolCounters {
     /// connection; stays zero against strict-FIFO (threads front end)
     /// shards.
     pub inflight_per_conn: AtomicU64,
-    /// Hedge exchanges launched because an exchange on this pool outlived
-    /// its hedge budget (fleet layer; see [`crate::fleet`]).
-    pub hedges_launched: AtomicU64,
-    /// Hedge exchanges this pool answered first, beating the raced sibling.
-    pub hedges_won: AtomicU64,
-    /// Exchanges that failed here and were rerouted to a sibling replica.
-    pub failovers: AtomicU64,
-    /// Times this pool's circuit breaker tripped open.
-    pub breaker_trips: AtomicU64,
-    /// Routing decisions that skipped this pool because its breaker was open.
-    pub breaker_fast_fails: AtomicU64,
     /// Labels defined into symbol dictionaries on this pool's
     /// connections (both directions).
     pub dict_defines: AtomicU64,
     /// Label occurrences resolved through those dictionaries instead of
     /// re-sending string bytes (both directions).
     pub dict_hits: AtomicU64,
-    /// Wall time of every *successful* exchange; its p95 is the default
-    /// hedge budget ([`ConnectionPool::observed_exchange_p95`]).
-    pub exchange_latency: LatencyRecorder,
 }
 
 impl PoolCounters {
@@ -399,38 +362,10 @@ impl ConnectionPool {
             ring_exchanges: self.counters.ring_exchanges.load(Ordering::Relaxed),
             reactor_wakeups: self.counters.reactor_wakeups.load(Ordering::Relaxed),
             inflight_per_conn: self.counters.inflight_per_conn.load(Ordering::Relaxed),
-            hedges_launched: self.counters.hedges_launched.load(Ordering::Relaxed),
-            hedges_won: self.counters.hedges_won.load(Ordering::Relaxed),
-            failovers: self.counters.failovers.load(Ordering::Relaxed),
-            breaker_trips: self.counters.breaker_trips.load(Ordering::Relaxed),
-            breaker_fast_fails: self.counters.breaker_fast_fails.load(Ordering::Relaxed),
             dict_defines: self.counters.dict_defines.load(Ordering::Relaxed),
             dict_hits: self.counters.dict_hits.load(Ordering::Relaxed),
         }
     }
-
-    /// The fleet-resilience counters of this pool, shared with the fleet
-    /// layer so hedges and failovers land on the pool they describe.
-    pub(crate) fn fleet_counters(&self) -> &Arc<PoolCounters> {
-        &self.counters
-    }
-
-    /// The 95th percentile of this pool's successful-exchange wall times,
-    /// once at least [`Self::P95_MIN_SAMPLES`] exchanges have completed —
-    /// the observed-latency source for the fleet layer's default hedge
-    /// budget.  `None` until enough samples exist (a freshly-dialled pool
-    /// must not hedge on one unlucky measurement).
-    pub fn observed_exchange_p95(&self) -> Option<Duration> {
-        let histogram = self.counters.exchange_latency.snapshot();
-        if histogram.count < Self::P95_MIN_SAMPLES {
-            return None;
-        }
-        histogram.p95().map(Duration::from_micros)
-    }
-
-    /// Successful exchanges required before
-    /// [`observed_exchange_p95`](Self::observed_exchange_p95) reports.
-    pub const P95_MIN_SAMPLES: u64 = 16;
 
     /// Performs the `hello` handshake and returns the hosted backend names
     /// in registration order.  A shard of another protocol version fails
@@ -502,18 +437,6 @@ impl ConnectionPool {
     /// fresh dial (see module docs for why that is safe); every other
     /// failure surfaces immediately.
     pub fn exchange(&self, request: &ShardRequest) -> Result<ShardResponse, WireError> {
-        let started = std::time::Instant::now();
-        let response = self.exchange_unrecorded(request);
-        // Only clean exchanges feed the latency histogram: failures are
-        // the breaker's signal, not a latency sample, and a timeout would
-        // drag the p95 toward the very budget it is meant to derive.
-        if response.is_ok() {
-            self.counters.exchange_latency.record(started.elapsed());
-        }
-        response
-    }
-
-    fn exchange_unrecorded(&self, request: &ShardRequest) -> Result<ShardResponse, WireError> {
         self.counters.checkouts.fetch_add(1, Ordering::Relaxed);
         if let Some(mux) = self.mux_handle() {
             match mux.exchange(request, self.read_budget_for(request)) {
@@ -558,19 +481,6 @@ impl ConnectionPool {
     /// a burst that fails on a reused connection is retried once over a
     /// fresh dial (evaluations are idempotent).
     pub fn exchange_burst(
-        &self,
-        requests: &[ShardRequest],
-    ) -> Result<Vec<ShardResponse>, WireError> {
-        let started = std::time::Instant::now();
-        let responses = self.exchange_burst_unrecorded(requests);
-        if responses.is_ok() && requests.len() > 1 {
-            // Bursts of one were recorded by the `exchange` they became.
-            self.counters.exchange_latency.record(started.elapsed());
-        }
-        responses
-    }
-
-    fn exchange_burst_unrecorded(
         &self,
         requests: &[ShardRequest],
     ) -> Result<Vec<ShardResponse>, WireError> {
@@ -936,7 +846,7 @@ mod tests {
     use std::net::TcpListener;
 
     /// A raw canned-answer peer: accepts connections, answers a `hello`
-    /// as a v7 shard without a ring offer and every other frame with
+    /// as a current-version shard without a ring offer and every other frame with
     /// `supported: true`, counting connections accepted.
     fn rejecting_peer() -> (String, std::sync::Arc<AtomicU64>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
@@ -956,13 +866,16 @@ mod tests {
                             return;
                         }
                         let hello = payload.windows(7).any(|w| w == b"\"hello\"");
-                        let body: &[u8] = if hello {
-                            br#"{"id": 0, "ok": true, "backends": [], "protocol": 7}"#
+                        let body = if hello {
+                            format!(
+                                r#"{{"id": 0, "ok": true, "backends": [], "protocol": {PROTOCOL_VERSION}}}"#
+                            )
                         } else {
-                            br#"{"id": 0, "ok": true, "supported": true}"#
+                            r#"{"id": 0, "ok": true, "supported": true}"#.to_string()
                         };
                         let frame_len = (body.len() as u32).to_be_bytes();
-                        if stream.write_all(&frame_len).is_err() || stream.write_all(body).is_err()
+                        if stream.write_all(&frame_len).is_err()
+                            || stream.write_all(body.as_bytes()).is_err()
                         {
                             return;
                         }

@@ -157,10 +157,8 @@ struct ServiceInner {
     counters: StatsCounters,
     /// Remote-shard connection pools registered by [`ShardRouter`] (or
     /// [`EvalService::register_pool`]); their transport counters join
-    /// every [`stats`](EvalService::stats) snapshot.  Shared (as a
-    /// [`PoolRegistry`]) with the fleet layer, which adds and removes
-    /// pools on live topology reload.
-    pools: PoolRegistry,
+    /// every [`stats`](EvalService::stats) snapshot.
+    pools: Mutex<Vec<Arc<ConnectionPool>>>,
 }
 
 /// How busy one backend's worker pool is.  Only the batcher raises
@@ -184,12 +182,6 @@ impl WorkerLoad {
         self.in_flight.load(Ordering::Acquire) < self.workers
     }
 }
-
-/// The shared pool list behind [`EvalService::stats`]'s `remote_pools`
-/// section.  A [`FleetController`](crate::fleet::FleetController) holds a
-/// clone so shards added or drained by a topology reload appear in (or
-/// leave) stats snapshots without touching the service.
-pub(crate) type PoolRegistry = Arc<Mutex<Vec<Arc<ConnectionPool>>>>;
 
 /// A batched, cached, sharded evaluation service over an
 /// [`Evaluator`]'s backends.
@@ -254,7 +246,7 @@ impl EvalService {
             names,
             name_refs,
             config,
-            pools: Arc::new(Mutex::new(Vec::new())),
+            pools: Mutex::new(Vec::new()),
         });
 
         let mut senders = Vec::with_capacity(inner.backends.len());
@@ -314,12 +306,6 @@ impl EvalService {
     /// every shard address it connects.
     pub fn register_pool(&self, pool: Arc<ConnectionPool>) {
         self.inner.pools.lock().expect("pools lock").push(pool);
-    }
-
-    /// The shared pool registry behind [`stats`](Self::stats), handed to
-    /// the fleet layer so live topology reloads can add and drain pools.
-    pub(crate) fn pool_registry(&self) -> PoolRegistry {
-        Arc::clone(&self.inner.pools)
     }
 
     /// Display names of the backend shards, in registration order.
@@ -1212,7 +1198,6 @@ pub struct ShardRouter {
     backends: Vec<Box<dyn Backend>>,
     weights: Vec<usize>,
     pools: Vec<Arc<ConnectionPool>>,
-    fleets: Vec<Arc<crate::fleet::FleetState>>,
     config: ServiceConfig,
 }
 
@@ -1234,7 +1219,6 @@ impl ShardRouter {
             backends: Vec::new(),
             weights: Vec::new(),
             pools: Vec::new(),
-            fleets: Vec::new(),
             config,
         }
     }
@@ -1291,84 +1275,11 @@ impl ShardRouter {
                 }
             }
         }
-        // Shards claimed by a replica group are the group's members, not
-        // independently autodiscovered backends: connecting them here too
-        // would register their hosted names twice.
-        let replica_member: std::collections::HashSet<&str> = topology
-            .replicas
-            .iter()
-            .flat_map(|group| group.shards.iter().map(String::as_str))
-            .collect();
         for decl in &topology.remotes {
-            if replica_member.contains(decl.addr.as_str()) {
-                continue;
-            }
-            let remote_config = crate::fleet::remote_config_for(topology, &decl.addr);
+            let remote_config = crate::topology::remote_config_for(topology, &decl.addr);
             router = router.remote_with(&decl.addr, remote_config, decl.weight)?;
         }
-        // Replica groups: one FleetBackend per group over lazily-dialled
-        // pools (construction never dials, so a currently-dead replica
-        // cannot abort assembly — it sits breaker-open until it answers).
-        // Pools are shared per address when groups overlap.
-        let mut pools_by_addr: std::collections::HashMap<String, Arc<ConnectionPool>> =
-            std::collections::HashMap::new();
-        for group in &topology.replicas {
-            let pools: Vec<Arc<ConnectionPool>> = group
-                .shards
-                .iter()
-                .map(|addr| {
-                    Arc::clone(pools_by_addr.entry(addr.clone()).or_insert_with(|| {
-                        Arc::new(ConnectionPool::new(
-                            addr,
-                            crate::fleet::remote_config_for(topology, addr),
-                        ))
-                    }))
-                })
-                .collect();
-            // The group inherits the heaviest member declaration's worker
-            // weight: the fleet fans one backend's work across them all.
-            let weight = group
-                .shards
-                .iter()
-                .filter_map(|addr| {
-                    topology
-                        .remotes
-                        .iter()
-                        .find(|decl| &decl.addr == addr)
-                        .map(|decl| decl.weight)
-                })
-                .max()
-                .unwrap_or(1);
-            for pool in &pools {
-                if !router.pools.iter().any(|p| Arc::ptr_eq(p, pool)) {
-                    router.pools.push(Arc::clone(pool));
-                }
-            }
-            let state = Arc::new(crate::fleet::FleetState::new(group, pools));
-            router
-                .backends
-                .push(Box::new(crate::fleet::FleetBackend::from_state(
-                    Arc::clone(&state),
-                )));
-            router.weights.push(weight.max(1));
-            router.fleets.push(state);
-        }
         Ok(router)
-    }
-
-    /// Loads the topology at `path`, assembles and builds its fleet, and
-    /// starts a [`FleetController`](crate::fleet::FleetController) watch
-    /// that re-reads the file every `poll` and applies membership diffs in
-    /// place (see [`crate::fleet`]).  The returned controller owns the
-    /// watch thread; drop it to stop watching.
-    pub fn watch(
-        path: &std::path::Path,
-        poll: std::time::Duration,
-    ) -> Result<(EvalService, crate::fleet::FleetController), crate::fleet::WatchError> {
-        let topology = Topology::from_file(path)?;
-        let (service, mut controller) = Self::from_topology(&topology)?.build_fleet()?;
-        controller.watch(path, poll);
-        Ok((service, controller))
     }
 
     /// Adds one in-process backend pool.
@@ -1429,16 +1340,6 @@ impl ShardRouter {
     /// address's connection pool is registered with the service, so
     /// [`EvalService::stats`] surfaces transport counters per pool.
     pub fn build(self) -> Result<EvalService, RouterError> {
-        Ok(self.build_fleet()?.0)
-    }
-
-    /// [`build`](Self::build), also returning the
-    /// [`FleetController`](crate::fleet::FleetController) over the
-    /// router's replica groups — the handle for live topology reloads
-    /// ([`reload`](crate::fleet::FleetController::reload)) and file
-    /// watching ([`watch`](crate::fleet::FleetController::watch)).  A
-    /// router with no replica groups returns an inert controller.
-    pub fn build_fleet(self) -> Result<(EvalService, crate::fleet::FleetController), RouterError> {
         let mut seen = std::collections::HashSet::new();
         for backend in &self.backends {
             if !seen.insert(backend.name().to_string()) {
@@ -1453,8 +1354,7 @@ impl ShardRouter {
         for pool in self.pools {
             service.register_pool(pool);
         }
-        let controller = crate::fleet::FleetController::new(self.fleets, service.pool_registry());
-        Ok((service, controller))
+        Ok(service)
     }
 }
 

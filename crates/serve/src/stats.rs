@@ -54,7 +54,7 @@ fn bucket_upper(index: usize) -> u64 {
 /// per-priority-class sojourn recording.
 ///
 /// Histograms merge losslessly (bucket-wise addition), so per-shard
-/// snapshots aggregate into fleet-wide quantiles without re-recording.
+/// snapshots aggregate into service-wide quantiles without re-recording.
 /// The bucket vector is kept trimmed of trailing zeros — the canonical
 /// form both codecs emit, which keeps idle classes nearly free on the
 /// wire.
@@ -384,24 +384,6 @@ pub struct PoolStats {
     /// High-water mark of requests in flight on one multiplexed connection;
     /// zero for strict-FIFO peers.
     pub inflight_per_conn: u64,
-    /// Hedge exchanges launched because an exchange on this pool outlived
-    /// its hedge budget (the fleet layer re-issued the work against a
-    /// sibling replica); zero for pools outside a replica group.
-    pub hedges_launched: u64,
-    /// Hedge exchanges that *this* pool answered first — the sibling it
-    /// raced was slower (its late answer is discarded, and on multiplexed
-    /// connections its request id is cancelled).
-    pub hedges_won: u64,
-    /// Exchanges that failed on this pool with a transport error and were
-    /// rerouted to a sibling replica instead of failing the request.
-    pub failovers: u64,
-    /// Times this pool's circuit breaker tripped open (too many failures
-    /// inside the rolling window); each trip fast-fails routing to
-    /// siblings until a half-open probe succeeds.
-    pub breaker_trips: u64,
-    /// Routing decisions that skipped this pool because its breaker was
-    /// open (the fast-fail path — no connection was attempted).
-    pub breaker_fast_fails: u64,
     /// Labels first-seen on this pool's connections and entered into a
     /// per-connection symbol dictionary (each define costs one inline
     /// string on the wire; every later use is a bare varint id).

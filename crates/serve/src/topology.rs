@@ -26,14 +26,6 @@
 //!   "remotes": [
 //!     {"addr": "10.0.0.7:7070", "weight": 2, "pool_size": 8},
 //!     {"addr": "10.0.0.8:7070", "encoding": "json"}
-//!   ],
-//!   "replicas": [
-//!     {
-//!       "backend": "rsn-xnn",
-//!       "shards": ["10.0.0.7:7070", "10.0.0.8:7070"],
-//!       "hedge_budget_us": 5000,
-//!       "breaker": {"window": 8, "max_failures": 4, "cooldown_ms": 1000}
-//!     }
 //!   ]
 //! }
 //! ```
@@ -48,19 +40,10 @@
 //!   (heavier shards get proportionally more client-side worker threads),
 //!   `pool_size` (connection-pool bound override), `encoding`
 //!   (`auto`/`json`/`binary`/`binary_nodict` wire-encoding override — force `json` on one
-//!   shard to debug its traffic while the fleet stays binary) and
+//!   shard to debug its traffic while the rest stay binary) and
 //!   `transport` (`auto`/`socket`/`shm` — whether the client accepts a
-//!   shard's shared-memory ring offer; see [`crate::shm`]);
-//! * `replicas` — replicated backend groups (see [`crate::fleet`]): each
-//!   group serves one `backend` name from N interchangeable `shards`, all
-//!   of which must also appear in `remotes[]` (that is where their
-//!   per-shard pool/encoding/transport overrides live).  Requests route
-//!   to a replica by rendezvous hash of the workload spec (cache
-//!   locality), fail over to a sibling on transport errors, and — when a
-//!   reply outlives the group's hedge budget (`hedge_budget_us`, default:
-//!   derived from the pool's observed p95) — are hedged against a second
-//!   replica, first answer wins.  `breaker` tunes the per-replica circuit
-//!   breaker ([`BreakerConfig`]; missing fields default).
+//!   shard's shared-memory ring offer; see [`crate::shm`]).  Each backend
+//!   name is served by exactly one shard.
 //!
 //! [`ShardRouter::from_topology`](crate::ShardRouter::from_topology) turns
 //! a parsed topology into a running mixed local/remote service;
@@ -68,21 +51,8 @@
 //! from disk.  Emission ([`topology_json`]) is deterministic and
 //! round-trips byte-identically through parse → decode → re-emit, pinned
 //! by `tests/json_roundtrip.rs`.
-//!
-//! # Live reload
-//!
-//! A topology file is no longer only a boot artifact: a running fleet can
-//! re-read it and apply the difference in place.
-//! [`ShardRouter::watch`](crate::ShardRouter::watch) polls the file's
-//! mtime and, on change, diffs each replica group's shard set against the
-//! running one — new shards get a (lazily dialled) pool and start taking
-//! traffic, removed shards are *drained* (no new checkouts, inflight
-//! exchanges finish, then the pool is dropped) — all without restarting
-//! the service or disturbing unrelated pools.
 
-use crate::config::{
-    BreakerConfig, EncodingPolicy, FrontendPolicy, RemoteConfig, ServiceConfig, TransportPolicy,
-};
+use crate::config::{EncodingPolicy, FrontendPolicy, RemoteConfig, ServiceConfig, TransportPolicy};
 use crate::json::{self, DecodeError, JsonParseError, JsonValue};
 use std::time::Duration;
 
@@ -100,8 +70,7 @@ pub struct RemoteShardDecl {
     pub pool_size: Option<usize>,
     /// Wire-encoding override for this shard; `None` uses
     /// [`RemoteConfig::encoding`].  Force `json` on one shard to read its
-    /// traffic in a packet capture while the rest of the fleet stays
-    /// binary.
+    /// traffic in a packet capture while the other shards stay binary.
     pub encoding: Option<EncodingPolicy>,
     /// Transport override for this shard; `None` uses
     /// [`RemoteConfig::transport`].  Force `socket` on one shard to keep
@@ -124,45 +93,6 @@ impl RemoteShardDecl {
     }
 }
 
-/// One replicated backend group: N interchangeable shards serving the
-/// same backend name, with rendezvous routing, failover, hedging and
-/// per-replica circuit breaking (see [`crate::fleet`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaGroupDecl {
-    /// The backend name this group serves.  At most one group may claim a
-    /// given name ([`topology_from_json`] rejects duplicates); a clash
-    /// with a name autodiscovered from a non-replica shard surfaces at
-    /// assembly time as
-    /// [`RouterError::DuplicateBackend`](crate::RouterError).
-    pub backend: String,
-    /// Addresses of the group's replicas.  Every address must also appear
-    /// in [`Topology::remotes`], whose matching declaration supplies the
-    /// per-shard `pool_size`/`encoding`/`transport` overrides.
-    pub shards: Vec<String>,
-    /// Hedge budget in microseconds: how long the primary replica's
-    /// exchange may run before a hedge is launched against a sibling.
-    /// `None` derives the budget from the primary pool's observed p95
-    /// exchange latency
-    /// ([`ConnectionPool::observed_exchange_p95`](crate::ConnectionPool::observed_exchange_p95)),
-    /// hedging nothing until enough samples exist.
-    pub hedge_budget_us: Option<u64>,
-    /// Circuit-breaker tuning for the group's replicas; `None` uses
-    /// [`BreakerConfig::default`].
-    pub breaker: Option<BreakerConfig>,
-}
-
-impl ReplicaGroupDecl {
-    /// A group with the default (p95-derived) hedge budget and breaker.
-    pub fn new(backend: &str, shards: &[&str]) -> Self {
-        Self {
-            backend: backend.to_string(),
-            shards: shards.iter().map(|s| s.to_string()).collect(),
-            hedge_budget_us: None,
-            breaker: None,
-        }
-    }
-}
-
 /// A parsed deployment topology: which pools a process assembles, local
 /// and remote, and how the service around them is tuned.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -176,8 +106,6 @@ pub struct Topology {
     pub local: Vec<String>,
     /// Remote shard servers, autodiscovered via `hello` at assembly time.
     pub remotes: Vec<RemoteShardDecl>,
-    /// Replicated backend groups over subsets of [`remotes`](Self::remotes).
-    pub replicas: Vec<ReplicaGroupDecl>,
 }
 
 impl Topology {
@@ -189,6 +117,23 @@ impl Topology {
         })?;
         let doc = json::parse(&text)?;
         Ok(topology_from_json(&doc)?)
+    }
+}
+
+/// The per-shard [`RemoteConfig`] a topology implies for `addr`: the
+/// topology's base remote tuning with the matching `remotes[]`
+/// declaration's overrides applied.  An unknown address gets the base
+/// tuning.
+pub(crate) fn remote_config_for(topology: &Topology, addr: &str) -> RemoteConfig {
+    let base = &topology.service.remote;
+    match topology.remotes.iter().find(|decl| decl.addr == addr) {
+        Some(decl) => RemoteConfig {
+            pool_size: decl.pool_size.unwrap_or(base.pool_size),
+            encoding: decl.encoding.unwrap_or(base.encoding),
+            transport: decl.transport.unwrap_or(base.transport),
+            ..base.clone()
+        },
+        None => base.clone(),
     }
 }
 
@@ -281,46 +226,6 @@ pub fn topology_json(topology: &Topology) -> JsonValue {
                                 "transport",
                                 decl.transport.map_or(JsonValue::Null, |t| {
                                     JsonValue::Str(t.as_str().to_string())
-                                }),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "replicas",
-            JsonValue::Arr(
-                topology
-                    .replicas
-                    .iter()
-                    .map(|group| {
-                        JsonValue::obj([
-                            ("backend", JsonValue::Str(group.backend.clone())),
-                            (
-                                "shards",
-                                JsonValue::Arr(
-                                    group
-                                        .shards
-                                        .iter()
-                                        .map(|addr| JsonValue::Str(addr.clone()))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "hedge_budget_us",
-                                group
-                                    .hedge_budget_us
-                                    .map_or(JsonValue::Null, JsonValue::Int),
-                            ),
-                            (
-                                "breaker",
-                                group.breaker.map_or(JsonValue::Null, |b| {
-                                    JsonValue::obj([
-                                        ("window", JsonValue::Int(b.window as u64)),
-                                        ("max_failures", JsonValue::Int(b.max_failures as u64)),
-                                        ("cooldown_ms", JsonValue::Int(millis_ceil(b.cooldown))),
-                                    ])
                                 }),
                             ),
                         ])
@@ -536,6 +441,16 @@ fn decode_encoding(value: &JsonValue, ctx: &str) -> Result<EncodingPolicy, Decod
 /// only unknown shapes are errors, missing fields default).
 pub fn topology_from_json(value: &JsonValue) -> Result<Topology, DecodeError> {
     const CTX: &str = "Topology";
+    // A `replicas` key groups several shards under one backend name.
+    // Skipping it like other unknown keys would leave those shards
+    // colliding as duplicate backends, so name it instead.
+    if value.get("replicas").is_some() {
+        return Err(DecodeError {
+            context: CTX.to_string(),
+            message: "`replicas` is not supported: list one shard per backend in `remotes`"
+                .to_string(),
+        });
+    }
     let listen = match value.get("listen") {
         None | Some(JsonValue::Null) => None,
         Some(JsonValue::Str(addr)) => Some(addr.clone()),
@@ -582,52 +497,11 @@ pub fn topology_from_json(value: &JsonValue) -> Result<Topology, DecodeError> {
             })
         }
     };
-    let replicas = match value.get("replicas") {
-        None | Some(JsonValue::Null) => Vec::new(),
-        Some(JsonValue::Arr(items)) => items
-            .iter()
-            .map(replica_group_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => {
-            return Err(DecodeError {
-                context: CTX.to_string(),
-                message: "`replicas` must be an array".to_string(),
-            })
-        }
-    };
-    // A replica group is a view over `remotes[]` — a shard address with no
-    // remote declaration has no pool configuration to build from, and two
-    // groups claiming one backend would route the same name two ways.
-    // Reject both here so every loaded topology is assemblable.
-    let mut claimed = std::collections::HashSet::new();
-    for group in &replicas {
-        if !claimed.insert(group.backend.as_str()) {
-            return Err(DecodeError {
-                context: CTX.to_string(),
-                message: format!(
-                    "`replicas`: backend `{}` is claimed by more than one group",
-                    group.backend
-                ),
-            });
-        }
-        for addr in &group.shards {
-            if !remotes.iter().any(|decl| decl.addr == *addr) {
-                return Err(DecodeError {
-                    context: CTX.to_string(),
-                    message: format!(
-                        "`replicas`: group `{}` names shard `{addr}` which is not in `remotes`",
-                        group.backend
-                    ),
-                });
-            }
-        }
-    }
     Ok(Topology {
         listen,
         service,
         local,
         remotes,
-        replicas,
     })
 }
 
@@ -665,83 +539,6 @@ fn remote_decl_from_json(value: &JsonValue) -> Result<RemoteShardDecl, DecodeErr
         encoding,
         transport,
     })
-}
-
-fn replica_group_from_json(value: &JsonValue) -> Result<ReplicaGroupDecl, DecodeError> {
-    const CTX: &str = "ReplicaGroupDecl";
-    let backend = match value.get("backend") {
-        Some(JsonValue::Str(name)) => name.clone(),
-        _ => {
-            return Err(DecodeError {
-                context: CTX.to_string(),
-                message: "missing string `backend`".to_string(),
-            })
-        }
-    };
-    let shards = match value.get("shards") {
-        Some(JsonValue::Arr(items)) if !items.is_empty() => items
-            .iter()
-            .map(|item| match item {
-                JsonValue::Str(addr) => Ok(addr.clone()),
-                _ => Err(DecodeError {
-                    context: CTX.to_string(),
-                    message: "`shards` entries must be address strings".to_string(),
-                }),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => {
-            return Err(DecodeError {
-                context: CTX.to_string(),
-                message: "`shards` must be a non-empty array of addresses".to_string(),
-            })
-        }
-    };
-    let hedge_budget_us = match value.get("hedge_budget_us") {
-        None | Some(JsonValue::Null) => None,
-        Some(v) => Some(decode_u64(v, CTX, "hedge_budget_us")?),
-    };
-    let breaker = match value.get("breaker") {
-        None | Some(JsonValue::Null) => None,
-        Some(section @ JsonValue::Obj(_)) => Some(breaker_from_json(section)?),
-        Some(_) => {
-            return Err(DecodeError {
-                context: CTX.to_string(),
-                message: "`breaker` must be an object or null".to_string(),
-            })
-        }
-    };
-    Ok(ReplicaGroupDecl {
-        backend,
-        shards,
-        hedge_budget_us,
-        breaker,
-    })
-}
-
-/// Decodes a `breaker` section; missing fields keep their
-/// [`BreakerConfig::default`] values.
-fn breaker_from_json(value: &JsonValue) -> Result<BreakerConfig, DecodeError> {
-    const CTX: &str = "BreakerConfig";
-    let mut breaker = BreakerConfig::default();
-    if let Some(v) = value.get("window") {
-        breaker.window = decode_usize(v, CTX, "window")?;
-    }
-    if let Some(v) = value.get("max_failures") {
-        breaker.max_failures = decode_usize(v, CTX, "max_failures")?;
-    }
-    if let Some(v) = value.get("cooldown_ms") {
-        breaker.cooldown = Duration::from_millis(decode_u64(v, CTX, "cooldown_ms")?);
-    }
-    if breaker.window == 0 || breaker.max_failures == 0 || breaker.max_failures > breaker.window {
-        return Err(DecodeError {
-            context: CTX.to_string(),
-            message: format!(
-                "`max_failures` ({}) must be between 1 and `window` ({})",
-                breaker.max_failures, breaker.window
-            ),
-        });
-    }
-    Ok(breaker)
 }
 
 /// [`json::expect_u64`] with the field name prefixed into the message.
@@ -799,19 +596,6 @@ mod tests {
                 },
                 RemoteShardDecl::new("10.0.0.8:7070"),
             ],
-            replicas: vec![
-                ReplicaGroupDecl {
-                    backend: "rsn-xnn".to_string(),
-                    shards: vec!["10.0.0.7:7070".to_string(), "10.0.0.8:7070".to_string()],
-                    hedge_budget_us: Some(5_000),
-                    breaker: Some(BreakerConfig {
-                        window: 16,
-                        max_failures: 6,
-                        cooldown: Duration::from_millis(2_500),
-                    }),
-                },
-                ReplicaGroupDecl::new("charm", &["10.0.0.8:7070"]),
-            ],
         }
     }
 
@@ -863,63 +647,30 @@ mod tests {
             r#"{"remotes": [{"addr": "x:1"}], "replicas": [{"backend": "b", "shards": ["x:1"], "breaker": "open"}]}"#,
             r#"{"remotes": [{"addr": "x:1"}], "replicas": [{"backend": "b", "shards": ["x:1"], "breaker": {"window": 0}}]}"#,
             r#"{"remotes": [{"addr": "x:1"}], "replicas": [{"backend": "b", "shards": ["x:1"], "breaker": {"max_failures": 9}}]}"#,
+            r#"{"replicas": []}"#,
         ];
         for text in bad {
             let doc = json::parse(text).expect("structurally valid JSON");
-            assert!(topology_from_json(&doc).is_err(), "must reject {text}");
+            let err = topology_from_json(&doc).expect_err(text);
+            if text.contains("\"replicas\"") {
+                assert!(err.message.contains("`replicas`"), "names the key: {err}");
+            }
         }
     }
 
     #[test]
-    fn replica_groups_must_reference_known_shards_once() {
-        // A group naming a shard with no `remotes[]` declaration has no
-        // pool configuration to assemble from.
-        let unknown = json::parse(
-            r#"{"remotes": [{"addr": "x:1"}],
-                "replicas": [{"backend": "b", "shards": ["x:1", "y:2"]}]}"#,
-        )
-        .expect("parse");
-        let err = topology_from_json(&unknown).expect_err("unknown shard must be rejected");
-        assert!(err.message.contains("y:2"), "names the offender: {err}");
-
-        // Two groups claiming one backend would route the name two ways.
-        let duplicate = json::parse(
-            r#"{"remotes": [{"addr": "x:1"}, {"addr": "y:2"}],
-                "replicas": [{"backend": "b", "shards": ["x:1"]},
-                             {"backend": "b", "shards": ["y:2"]}]}"#,
-        )
-        .expect("parse");
-        let err = topology_from_json(&duplicate).expect_err("duplicate backend must be rejected");
-        assert!(err.message.contains('b'), "names the backend: {err}");
-    }
-
-    #[test]
-    fn sparse_replica_group_defaults() {
-        let doc = json::parse(
-            r#"{"remotes": [{"addr": "x:1"}],
-                "replicas": [{"backend": "b", "shards": ["x:1"]}]}"#,
-        )
-        .expect("parse");
-        let topology = topology_from_json(&doc).expect("decode");
-        assert_eq!(
-            topology.replicas,
-            vec![ReplicaGroupDecl::new("b", &["x:1"])]
-        );
-        // A breaker object with only some fields keeps the rest default.
-        let doc = json::parse(
-            r#"{"remotes": [{"addr": "x:1"}],
-                "replicas": [{"backend": "b", "shards": ["x:1"],
-                              "breaker": {"max_failures": 2}}]}"#,
-        )
-        .expect("parse");
-        let topology = topology_from_json(&doc).expect("decode");
-        assert_eq!(
-            topology.replicas[0].breaker,
-            Some(BreakerConfig {
-                max_failures: 2,
-                ..BreakerConfig::default()
-            })
-        );
+    fn remote_config_for_applies_per_shard_overrides() {
+        let mut topology = Topology::default();
+        topology.service.remote.pool_size = 4;
+        topology.remotes.push(RemoteShardDecl {
+            addr: "a:1".to_string(),
+            weight: 1,
+            pool_size: Some(9),
+            encoding: None,
+            transport: None,
+        });
+        assert_eq!(remote_config_for(&topology, "a:1").pool_size, 9);
+        assert_eq!(remote_config_for(&topology, "b:1").pool_size, 4);
     }
 
     #[test]

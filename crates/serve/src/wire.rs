@@ -9,7 +9,7 @@
 //! compact binary codec ([`crate::binary`]); anything else is UTF-8 JSON
 //! (the [`crate::json`] emitter's pretty form — deterministic, so a frame
 //! for a given message is byte-stable).  Receivers dispatch per frame, so
-//! mixed-encoding fleets interoperate without per-connection state.  Frames
+//! mixed-encoding peers interoperate without per-connection state.  Frames
 //! larger than [`MAX_FRAME_BYTES`] are rejected on both sides, bounding
 //! what a malformed or hostile peer can make the other side allocate.
 //!
@@ -43,7 +43,7 @@
 //! with [`WireError::ProtocolMismatch`], which names both too.  A version
 //! mismatch is never a downgrade.
 //!
-//! What a v7 connection carries:
+//! What a v8 connection carries:
 //!
 //! * `evaluate_batch` — one frame with a whole micro-batch of specs,
 //!   answered by one frame of results in order;
@@ -68,7 +68,9 @@
 //!   plain binary, and the plain decoders reject `0xB7` payloads outright.
 //!   Connection owners (the pool, the reactor, the threads front end)
 //!   thread their [`binary::TxSymbols`]/[`binary::RxSymbols`] halves
-//!   through the `_dict` variants instead.
+//!   through the `_dict` variants instead;
+//! * stats documents whose pool records carry 15 counters (v7 carried 20,
+//!   so a v7 peer is refused at `hello`, not at a stats decode).
 
 use crate::binary;
 use crate::json::{self, DecodeError, JsonParseError, JsonValue};
@@ -87,10 +89,10 @@ pub type SharedResult = Arc<Result<EvalReport, EvalError>>;
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// The shard protocol version this build speaks, and the only one it
-/// accepts from a peer (see the module docs for what version 7 carries).
+/// accepts from a peer (see the module docs for what version 8 carries).
 /// The `hello` exchange carries it both ways; a peer that sends any other
 /// version gets a protocol-mismatch error naming both.
-pub const PROTOCOL_VERSION: u64 = 7;
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// The text of a version mismatch, seen from side `us` (which speaks
 /// [`PROTOCOL_VERSION`]) after side `them` sent `version`.  Shards answer a

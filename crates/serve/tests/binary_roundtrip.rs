@@ -248,11 +248,6 @@ fn random_stats(rng: &mut u64) -> ServiceStats {
                 ring_exchanges: lcg(rng) % 100_000,
                 reactor_wakeups: lcg(rng) % 100_000,
                 inflight_per_conn: lcg(rng) % 64,
-                hedges_launched: lcg(rng) % 10_000,
-                hedges_won: lcg(rng) % 10_000,
-                failovers: lcg(rng) % 1_000,
-                breaker_trips: lcg(rng) % 100,
-                breaker_fast_fails: lcg(rng) % 1_000,
                 dict_defines: lcg(rng) % 10_000,
                 dict_hits: lcg(rng) % 1_000_000,
             })

@@ -279,11 +279,6 @@ fn stats_round_trip_including_per_shard_counters() {
             ring_exchanges: 6,
             reactor_wakeups: 11,
             inflight_per_conn: 4,
-            hedges_launched: 3,
-            hedges_won: 2,
-            failovers: 1,
-            breaker_trips: 1,
-            breaker_fast_fails: 5,
             dict_defines: 12,
             dict_hits: 340,
         }],
@@ -369,16 +364,6 @@ fn topology_round_trips_typed_and_textual() {
             },
             RemoteShardDecl::new("10.0.0.8:7070"),
         ],
-        replicas: vec![rsn_serve::ReplicaGroupDecl {
-            backend: "rsn-xnn".to_string(),
-            shards: vec!["10.0.0.7:7070".to_string(), "10.0.0.8:7070".to_string()],
-            hedge_budget_us: Some(7_500),
-            breaker: Some(rsn_serve::BreakerConfig {
-                window: 12,
-                max_failures: 3,
-                cooldown: std::time::Duration::from_millis(750),
-            }),
-        }],
     };
     let parsed = assert_emit_stable(&topology_json(&topology));
     assert_eq!(

@@ -540,7 +540,6 @@ fn topology_file_assembles_a_mixed_local_remote_service() {
             encoding: None,
             transport: None,
         }],
-        replicas: Vec::new(),
     };
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("topologies");
     std::fs::create_dir_all(&dir).expect("topology dir");
@@ -820,86 +819,98 @@ fn dict_encoding_negotiates_shrinks_the_wire_and_counts() {
 
 #[test]
 fn version_six_shards_are_refused_with_a_named_mismatch() {
-    // A hand-built shard that answers every hello as protocol 6.  The
-    // client must refuse it loudly — no fallback, and no evaluation frame
-    // ever sent to it.
+    // Hand-built shards that answer every hello as protocol 6, and as the
+    // version just before ours (whose stats records have another shape).
+    // The client must refuse each loudly — no fallback, and no evaluation
+    // frame ever sent to it.
     use rsn_serve::wire::{read_request_frame, write_response_frame, WireError};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind v6 shard");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let leaked = Arc::new(AtomicU64::new(0));
-    let seen = Arc::clone(&leaked);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let seen = Arc::clone(&seen);
-            std::thread::spawn(move || {
-                let mut scratch = Vec::new();
-                let mut out = Vec::new();
-                loop {
-                    let (id, request, encoding) =
-                        match read_request_frame(&mut stream, &mut scratch) {
-                            Ok(Some((id, request, encoding, _))) => (id, request, encoding),
-                            Ok(None) => return,
-                            Err(_) => {
+    for version in [6, PROTOCOL_VERSION - 1] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stale shard");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let leaked = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&leaked);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { break };
+                let seen = Arc::clone(&seen);
+                std::thread::spawn(move || {
+                    let mut scratch = Vec::new();
+                    let mut out = Vec::new();
+                    loop {
+                        let (id, request, encoding) =
+                            match read_request_frame(&mut stream, &mut scratch) {
+                                Ok(Some((id, request, encoding, _))) => (id, request, encoding),
+                                Ok(None) => return,
+                                Err(_) => {
+                                    seen.fetch_add(1, Ordering::SeqCst);
+                                    return;
+                                }
+                            };
+                        let response = match request {
+                            ShardRequest::Hello { .. } => ShardResponse::Backends {
+                                names: vec!["rsn-xnn".to_string()],
+                                protocol: version,
+                                ring: None,
+                                window: None,
+                            },
+                            _ => {
                                 seen.fetch_add(1, Ordering::SeqCst);
-                                return;
+                                ShardResponse::Rejected("not a hello".to_string())
                             }
                         };
-                    let response = match request {
-                        ShardRequest::Hello { .. } => ShardResponse::Backends {
-                            names: vec!["rsn-xnn".to_string()],
-                            protocol: 6,
-                            ring: None,
-                            window: None,
-                        },
-                        _ => {
-                            seen.fetch_add(1, Ordering::SeqCst);
-                            ShardResponse::Rejected("not a hello".to_string())
+                        if write_response_frame(&mut stream, id, &response, encoding, &mut out)
+                            .is_err()
+                        {
+                            return;
                         }
-                    };
-                    if write_response_frame(&mut stream, id, &response, encoding, &mut out).is_err()
-                    {
-                        return;
                     }
+                });
+            }
+        });
+
+        let names_both = |text: &str| {
+            text.contains(&format!("speaks {PROTOCOL_VERSION}"))
+                && text.contains(&format!("sent {version}"))
+        };
+        let error = RemoteBackend::connect_all(&addr).expect_err("a stale shard must be refused");
+        assert!(
+            matches!(error, WireError::ProtocolMismatch(v) if v == version),
+            "{error}"
+        );
+        assert!(names_both(&error.to_string()), "{error}");
+
+        // Clients built without a handshake fail every spec on first use.
+        let remote = RemoteBackend::named(&addr, "rsn-xnn");
+        let specs: Vec<WorkloadSpec> = (1..=4usize)
+            .map(|n| WorkloadSpec::SquareGemm { n: n * 128 })
+            .collect();
+        let mut results = remote.evaluate_many(&specs);
+        results.push(remote.evaluate(&specs[0]));
+        assert_eq!(results.len(), specs.len() + 1);
+        for result in &results {
+            match result {
+                Err(EvalError::Transport { detail, .. }) => {
+                    assert!(names_both(detail), "{detail}")
                 }
-            });
+                other => panic!("expected a Transport mismatch error, got {other:?}"),
+            }
         }
-    });
-
-    let names_both = |text: &str| text.contains("speaks 7") && text.contains("sent 6");
-    let error = RemoteBackend::connect_all(&addr).expect_err("a v6 shard must be refused");
-    assert!(matches!(error, WireError::ProtocolMismatch(6)), "{error}");
-    assert!(names_both(&error.to_string()), "{error}");
-
-    // Clients built without a handshake fail every spec on first use.
-    let remote = RemoteBackend::named(&addr, "rsn-xnn");
-    let specs: Vec<WorkloadSpec> = (1..=4usize)
-        .map(|n| WorkloadSpec::SquareGemm { n: n * 128 })
-        .collect();
-    let mut results = remote.evaluate_many(&specs);
-    results.push(remote.evaluate(&specs[0]));
-    assert_eq!(results.len(), specs.len() + 1);
-    for result in &results {
-        match result {
-            Err(EvalError::Transport { detail, .. }) => assert!(names_both(detail), "{detail}"),
-            other => panic!("expected a Transport mismatch error, got {other:?}"),
-        }
+        assert_eq!(
+            remote.pool().protocol(),
+            None,
+            "a mismatch is not a handshake"
+        );
+        assert_eq!(remote.pool().stats().pipelined_batches, 0);
+        assert_eq!(
+            leaked.load(Ordering::SeqCst),
+            0,
+            "a frame other than hello reached the v{version} shard"
+        );
     }
-    assert_eq!(
-        remote.pool().protocol(),
-        None,
-        "a mismatch is not a handshake"
-    );
-    assert_eq!(remote.pool().stats().pipelined_batches, 0);
-    assert_eq!(
-        leaked.load(Ordering::SeqCst),
-        0,
-        "a frame other than hello reached the v6 shard"
-    );
 }
 
 #[test]
@@ -929,7 +940,8 @@ fn mismatched_json_hellos_are_rejected_on_both_front_ends() {
             (r#"{"id": 1, "kind": "hello", "protocol": 6}"#, 6),
             (r#"{"id": 1, "kind": "hello"}"#, 0),
         ] {
-            let expected = format!("protocol mismatch: shard speaks 7, peer sent {sent}");
+            let expected =
+                format!("protocol mismatch: shard speaks {PROTOCOL_VERSION}, peer sent {sent}");
             assert_eq!(
                 exchange(hello),
                 (1, ShardResponse::Rejected(expected)),
@@ -937,8 +949,9 @@ fn mismatched_json_hellos_are_rejected_on_both_front_ends() {
             );
         }
         // The connection survives the rejections: a matching hello works.
-        match exchange(r#"{"id": 2, "kind": "hello", "protocol": 7}"#) {
-            (2, ShardResponse::Backends { protocol: 7, .. }) => {}
+        let current = format!(r#"{{"id": 2, "kind": "hello", "protocol": {PROTOCOL_VERSION}}}"#);
+        match exchange(&current) {
+            (2, ShardResponse::Backends { protocol, .. }) if protocol == PROTOCOL_VERSION => {}
             other => panic!("{frontend}: expected backends, got {other:?}"),
         }
     }
